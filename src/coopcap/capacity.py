@@ -16,9 +16,11 @@ s_i = sum_j good(i, j) p2(j) and t_i = sum_j good(i, j) p2(j) log2 p2(j),
 
 so for fixed p2 the objective is an O(n) function of p1 after one pass over
 the matrix, and it is concave in p1 (the output law is affine in p1 and
-entropy is concave). The maximizer here alternates projected gradient
-ascent over each marginal; the exhaustive grid oracle cross-checks it on
-tiny alphabets.
+entropy is concave), with a maximizer in closed form up to one scalar
+multiplier (the Blahut-Arimoto step, as Rezaeian and Grant apply it to the
+multiple-access sum rate). The maximizer here alternates these exact
+updates over the two marginals; the exhaustive grid oracle cross-checks it
+on tiny alphabets.
 
 Also here: the layered decomposition of a pmf into nested uniform
 distributions, and the entropy-based bound on the probability of any fixed
@@ -46,7 +48,6 @@ __all__ = [
     "UniformDecomposition",
     "xlog2x",
     "entropy_bits",
-    "project_to_simplex",
     "output_stats",
     "sum_rate",
     "rate_triple",
@@ -142,20 +143,22 @@ class _GoodOps:
     """Products against the good-entry indicator of one matrix."""
 
     def __init__(self, matrix):
-        self.matrix = matrix
+        # weak, so that the cache entry below dies with its matrix
+        self.matrix_ref = weakref.ref(matrix)
+        self.packed_rows = matrix.packed_rows
         self._dense = None
         if matrix.n <= _DENSE_LIMIT:
             self._dense = (1 - matrix.to_dense()).astype(np.float64)
 
     def products(self, X: np.ndarray, transpose: bool = False) -> np.ndarray:
         """good @ X, or good.T @ X with transpose=True; X is (n, k)."""
-        if self._dense is not None:
-            return (self._dense.T if transpose else self._dense) @ X
-        n = self.matrix.n
+        if self._dense is not None:  # as (X.T @ A).T: thin X runs faster on the left
+            return (X.T @ (self._dense if transpose else self._dense.T)).T
+        n = self.packed_rows.shape[0]
         out = np.zeros((n, X.shape[1]) if X.ndim == 2 else n, dtype=np.float64)
         for lo in range(0, n, _STREAM_ROWS):
             hi = min(lo + _STREAM_ROWS, n)
-            good = 1 - np.unpackbits(self.matrix.packed_rows[lo:hi], axis=1, count=n)
+            good = 1 - np.unpackbits(self.packed_rows[lo:hi], axis=1, count=n)
             chunk = good.astype(np.float64)
             if transpose:
                 out += chunk.T @ X[lo:hi]
@@ -172,7 +175,7 @@ def _good_ops(channel: Channel) -> _GoodOps:
     matrix = channel.matrix
     key = id(matrix)
     ops = _OPS_CACHE.get(key)
-    if ops is None or ops.matrix is not matrix:
+    if ops is None or ops.matrix_ref() is not matrix:
         ops = _GoodOps(matrix)
         _OPS_CACHE[key] = ops
         weakref.finalize(matrix, _OPS_CACHE.pop, key, None)
@@ -218,10 +221,14 @@ def output_stats(channel: Channel, p1, p2) -> OutputStats:
     return OutputStats(gamma_by_x1=gamma_by, gamma=gamma, y_distribution=y)
 
 
+def _with_logs(p: np.ndarray) -> np.ndarray:
+    return np.column_stack([p, xlog2x(p)])
+
+
 def _entropy_from_products(u, ul, s, t) -> float:
     gamma = float(u @ s)
     erased = min(max(1.0 - gamma, 0.0), 1.0)
-    return float(-(ul @ s) - (u @ t) - xlog2x(erased))
+    return float(0.0 - (ul @ s) - (u @ t) - xlog2x(erased))  # +0.0, never -0.0
 
 
 def sum_rate(channel: Channel, p1, p2) -> float:
@@ -229,7 +236,7 @@ def sum_rate(channel: Channel, p1, p2) -> float:
     n = channel.n
     u = as_distribution(p1, n)
     v = as_distribution(p2, n)
-    st = _good_ops(channel).products(np.column_stack([v, xlog2x(v)]))
+    st = _good_ops(channel).products(_with_logs(v))
     return _entropy_from_products(u, xlog2x(u), st[:, 0], st[:, 1])
 
 
@@ -268,58 +275,88 @@ def rate_triple(channel: Channel, p1, p2) -> RateTriple:
 # ----------------------------------------------------------------------
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    n = v.size
-    mu = np.sort(v)[::-1]
-    cssv = np.cumsum(mu) - 1.0
-    rho = np.nonzero(mu * np.arange(1, n + 1) > cssv)[0][-1]
-    theta = cssv[rho] / (rho + 1.0)
-    w = np.maximum(v - theta, 0.0)
-    return w / w.sum()
-
-
 @dataclass(frozen=True)
 class AltMaxResult:
+    """kkt_gap certifies the returned pair: the larger over the two
+    marginals of the Frank-Wolfe gap (see _frank_wolfe_gap) with the other
+    marginal held fixed, so no change of one marginal alone gains more."""
+
     p1: ProbVector
     p2: ProbVector
     value: float
     iterations: int
     converged: bool
     sweep_values: tuple[float, ...]
+    kkt_gap: float
 
 
-def _maximize_marginal(s, t, u0, inner_iters: int, inner_tol: float = 1e-12):
-    """Projected gradient ascent of the concave one-marginal objective."""
-    u = u0
-    f = _entropy_from_products(u, xlog2x(u), s, t)
-    step = 1.0
-    for _ in range(inner_iters):
-        gamma = float(u @ s)
-        grad = (
-            -s * np.log2(np.maximum(u, _TINY))
-            - t
-            + s * np.log2(max(1.0 - gamma, _TINY))
-        )
-        stp = step
-        cand = fc = None
-        for _ in range(70):  # halve until the objective improves
-            trial = project_to_simplex(u + stp * grad)
-            ft = _entropy_from_products(trial, xlog2x(trial), s, t)
-            if ft > f:
-                cand, fc = trial, ft
-                break
-            stp *= 0.5
-            if stp < 1e-16:
-                break
-        if cand is None:
-            break
-        gain = fc - f
-        u, f = cand, fc
-        step = min(stp * 2.0, 64.0)
-        if gain < inner_tol:
-            break
-    return u, f
+def _multiplier(c: np.ndarray, s: np.ndarray) -> float:
+    """Root of L(lam) = log2 sum_i 2^(c_i - lam / s_i), 0 < s_i < 1.
+
+    L is convex and decreasing. Alone, term i reaches 1 at lam = c_i s_i, so
+    L >= 0 at the largest of these; at hi every one of the k terms is at
+    most 1/k, so L <= 0. Newton from the left end climbs to the root without
+    overshooting; a step that leaves the bracket bisects instead.
+    """
+    lo = float(np.max(c * s))
+    hi = float(np.max((c + np.log2(c.size)) * s))
+    lam = lo
+    for _ in range(200):
+        a = c - lam / s
+        top = a.max()
+        e = np.exp2(a - top)
+        value = top + np.log2(e.sum())
+        if value == 0:
+            return lam
+        lo, hi = (lam, hi) if value > 0 else (lo, lam)
+        nxt = lam + value * e.sum() / (e @ (1.0 / s))
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - lam) <= 1e-15 * max(1.0, abs(lam)):
+            return nxt
+        lam = nxt
+    return lam
+
+
+def _maximize_marginal(s, t):
+    """Exact maximizer u of the concave one-marginal objective, and its value.
+
+    Where s_i > 0, stationarity gives u_i = (1 - gamma) 2^(-(t_i + lam) / s_i),
+    and the masses sum to 1 with gamma = u . s exactly when
+    sum_i (1 - s_i) 2^(-(t_i + lam) / s_i) = 1, which fixes lam. Rows with
+    s_i = 0 have zero gradient: they take mass only when that root is
+    negative, and then lam = 0 and they share what the other rows leave.
+    When every s_i = 1 nothing erases and u is proportional to 2^(-t_i).
+    """
+    s = np.minimum(s, 1.0)  # rounding can push a full row's sum past 1
+    n = s.size
+    live = s > 0
+    if not live.any():  # every input erases, so every u scores 0
+        u = np.full(n, 1.0 / n)
+        return u, _entropy_from_products(u, xlog2x(u), s, t)
+    sl = s[live]
+    base = -t[live] / sl  # log2 of the weights at lam = 0
+    erasing = sl < 1.0
+    c = base[erasing] + np.log2(1.0 - sl[erasing])
+    lam, zero_share, zeros = 0.0, -np.inf, n - sl.size  # log2 of a zero row's weight
+    log_rest = c.max() + np.log2(np.exp2(c - c.max()).sum()) if c.size else -np.inf
+    if zeros and log_rest < 0:
+        zero_share = np.log2(-np.expm1(log_rest * np.log(2.0)) / zeros)
+    elif c.size:
+        lam = _multiplier(c, sl[erasing])
+    ell = np.full(n, zero_share)
+    ell[live] = base - lam / sl
+    u = np.exp2(ell - ell.max())
+    u /= u.sum()
+    return u, _entropy_from_products(u, xlog2x(u), s, t)
+
+
+def _frank_wolfe_gap(u, s, t) -> float:
+    """max_i grad_i - u . grad of the one-marginal objective at u; it bounds
+    what any other u can gain, since the objective is concave."""
+    gamma = float(u @ s)
+    grad = s * (np.log2(max(1.0 - gamma, _TINY)) - np.log2(np.maximum(u, _TINY))) - t
+    return float(grad.max() - u @ grad)
 
 
 def alternating_maximization(
@@ -328,42 +365,50 @@ def alternating_maximization(
     init2=None,
     max_iters: int = 100,
     tol: float = 1e-8,
-    inner_iters: int = 200,
 ) -> AltMaxResult:
-    """Alternate concave ascents over p1 and p2 until a sweep gains < tol.
+    """Alternate exact maximizations over p1 and p2 until a sweep gains < tol.
 
-    The reported value never decreases from sweep to sweep (each accepted
-    step strictly improves the objective). Converges to a coordinate-wise
+    The reported value never decreases from sweep to sweep (each update is
+    the best response to the other marginal). Converges to a coordinate-wise
     optimum, which need not be the global product-distribution optimum;
-    see maximize_sum_rate for restarts.
+    see maximize_sum_rate for restarts. Only init2 shapes the run past its
+    starting value, since the first update replaces p1 by its best response.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     n = channel.n
     u = as_distribution(init1, n) if init1 is not None else np.full(n, 1.0 / n)
     v = as_distribution(init2, n) if init2 is not None else np.full(n, 1.0 / n)
     ops = _good_ops(channel)
-    value = sum_rate(channel, u, v)
+    row = ops.products(_with_logs(v))
+    value = _entropy_from_products(u, xlog2x(u), row[:, 0], row[:, 1])
     sweep_values = []
     converged = False
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        st = ops.products(np.column_stack([v, xlog2x(v)]))
-        u, _ = _maximize_marginal(st[:, 0], st[:, 1], u, inner_iters)
-        st = ops.products(np.column_stack([u, xlog2x(u)]), transpose=True)
-        v, new_value = _maximize_marginal(st[:, 0], st[:, 1], v, inner_iters)
+        u, _ = _maximize_marginal(row[:, 0], row[:, 1])
+        col = ops.products(_with_logs(u), transpose=True)
+        v, new_value = _maximize_marginal(col[:, 0], col[:, 1])
+        row = ops.products(_with_logs(v))
         sweep_values.append(new_value)
         if new_value - value < tol:
             value = max(value, new_value)
             converged = True
             break
         value = new_value
+    kkt_gap = max(
+        _frank_wolfe_gap(u, row[:, 0], row[:, 1]),
+        _frank_wolfe_gap(v, col[:, 0], col[:, 1]),
+    )
     return AltMaxResult(
-        p1=ProbVector(u / u.sum()),
-        p2=ProbVector(v / v.sum()),
+        p1=ProbVector(u),
+        p2=ProbVector(v),
         value=value,
         iterations=iterations,
         converged=converged,
         sweep_values=tuple(sweep_values),
+        kkt_gap=kkt_gap,
     )
 
 
@@ -373,22 +418,17 @@ def maximize_sum_rate(
     seed: int = 0,
     max_iters: int = 100,
     tol: float = 1e-8,
-    inner_iters: int = 200,
 ) -> AltMaxResult:
     """Best alternating-maximization run from uniform plus random restarts."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    best = alternating_maximization(
-        channel, max_iters=max_iters, tol=tol, inner_iters=inner_iters
-    )
+    best = alternating_maximization(channel, max_iters=max_iters, tol=tol)
     rng = np.random.default_rng(seed)
     n = channel.n
     for _ in range(restarts):
         init1 = rng.dirichlet(np.ones(n))
         init2 = rng.dirichlet(np.ones(n))
-        run = alternating_maximization(
-            channel, init1, init2, max_iters=max_iters, tol=tol, inner_iters=inner_iters
-        )
+        run = alternating_maximization(channel, init1, init2, max_iters=max_iters, tol=tol)
         if run.value > best.value:
             best = run
     return best
@@ -399,7 +439,7 @@ def maximize_sum_rate(
 # ----------------------------------------------------------------------
 
 _BF_ALPHABET_LIMIT = 4
-_BF_CHUNK = 2048
+_BF_CHUNK = 256
 _BF_STRIP = 1 << 17
 
 

@@ -204,7 +204,8 @@ def _cmd_capacity(args) -> int:
             fh.write("\n")
     print(
         f"sum_rate={_fmt(result.value)} converged={str(result.converged).lower()}"
-        f" restarts={args.restarts}"
+        f" restarts={args.restarts} sweeps={result.iterations}"
+        f" kkt_gap={result.kkt_gap:.3e}"
     )
     return 0
 

@@ -5,13 +5,14 @@ check the facilitator code in both orientations, estimate the best
 no-facilitator sum rate with the alternating optimizer, and evaluate the
 closed-form bounds. The measured gap (facilitator rate minus optimizer
 estimate) over-estimates the true gap, since the optimizer only lower
-bounds the no-facilitator sum capacity; records carry the restart count
-so readers can judge the estimate.
+bounds the no-facilitator sum capacity; the JSON records carry whether
+the optimizer converged, its sweep count and its KKT gap so readers can
+judge the estimate.
 
-Persistence: channels under channels/ (binary), one JSON line per record
-appended to records.jsonl as soon as the row finishes (crash-safe), the
-full table rewritten to records.csv at the end, polygon vertex files
-under regions/, and a gap-vs-m series for plotting. A row that fails is
+Persistence: channels under channels/ (binary), records.jsonl started
+fresh by each run and one JSON line appended per record as soon as the row
+finishes (crash-safe), the full table rewritten to records.csv at the end,
+polygon vertex files under regions/, and a gap-vs-m series for plotting. A row that fails is
 recorded with its error message and the sweep continues.
 
 Sweeps are reproducible: per-row seeds are derived from the config seed
@@ -161,8 +162,10 @@ CSV_COLUMNS = (
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One sweep row. delta is the facilitator link rate, equal to the
-    block exponent g the channel was built with. When error is set the
-    row failed at some phase and later numeric fields hold nan."""
+    block exponent g the channel was built with. converged, sweeps and
+    kkt_gap describe the optimizer run behind ie_estimate (see
+    AltMaxResult); they go to the JSON lines, not the CSV. When error is
+    set the row failed at some phase and later numeric fields hold nan."""
 
     m: int
     g: int
@@ -182,6 +185,9 @@ class ExperimentRecord:
     wall_time: dict = field(default_factory=dict)
     mc_error: float | None = None
     error: str | None = None
+    converged: bool = False
+    sweeps: int = 0
+    kkt_gap: float = float("nan")
 
 
 def _failed_record(params: ConstructionParams, message: str) -> ExperimentRecord:
@@ -260,6 +266,9 @@ def _run_row(config: ExperimentConfig, index: int, channels_dir: Path) -> Experi
         gap_upper=bracket.upper,
         wall_time=walls,
         mc_error=mc,
+        converged=opt.converged,
+        sweeps=opt.iterations,
+        kkt_gap=opt.kkt_gap,
     )
 
 
@@ -268,7 +277,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     channels_dir = out / "channels"
     channels_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    with open(out / "records.jsonl", "a", encoding="utf-8") as log:
+    with open(out / "records.jsonl", "w", encoding="utf-8") as log:
         for index in range(len(config.m_values)):
             try:
                 record = _run_row(config, index, channels_dir)

@@ -177,7 +177,12 @@ def test_acceptance_6_analytic_anchors():
         ChannelMatrix.from_dense(np.array([[0, 1], [1, 0]], dtype=np.uint8)), g=1
     )
     uniform_value = sum_rate(anti_bad, [0.5, 0.5], [0.5, 0.5])
-    ok = abs(clean - 2 * m) <= 1e-4 and dead == 0.0 and uniform_value == 1.5
+    ok = (
+        abs(clean - 2 * m) <= 1e-4
+        and dead == 0.0
+        and math.copysign(1.0, dead) == 1.0
+        and uniform_value == 1.5
+    )
     report(6, ok, f"all-good={clean!r} (target {2 * m}), all-bad={dead!r}, "
                   f"2x2 uniform={uniform_value!r}")
     assert ok

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -18,13 +19,14 @@ from coopcap import (
     entropy_bits,
     maximize_sum_rate,
     output_stats,
-    project_to_simplex,
     rate_triple,
     sum_rate,
     tail_mass_bound,
     xlog2x,
     UniformDecomposition,
 )
+from coopcap import capacity
+from coopcap.capacity import _maximize_marginal
 from coopcap.channel import ERASURE
 from coopcap.errors import InvariantViolation
 
@@ -127,25 +129,6 @@ def test_as_distribution():
         as_distribution([0.5, 0.6])
 
 
-def test_project_to_simplex_known_cases():
-    assert project_to_simplex(np.array([2.0, 0.0])).tolist() == [1.0, 0.0]
-    assert project_to_simplex(np.array([-1.0, 1.0])).tolist() == [0.0, 1.0]
-    assert np.allclose(project_to_simplex(np.array([0.5, 0.5])), [0.5, 0.5])
-    assert np.allclose(project_to_simplex(np.array([1.0, 1.0])), [0.5, 0.5])
-
-
-@given(
-    st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=8),
-)
-@settings(max_examples=100, deadline=None)
-def test_project_to_simplex_property(values):
-    w = project_to_simplex(np.array(values))
-    assert w.min() >= 0.0
-    assert abs(w.sum() - 1.0) <= 1e-9
-    if min(values) >= 0 and abs(sum(values) - 1.0) <= 1e-12:
-        assert np.allclose(w, values, atol=1e-9)
-
-
 # ----------------------------------------------------------------------
 # Output statistics and rates
 # ----------------------------------------------------------------------
@@ -178,7 +161,8 @@ def test_output_stats_drops_zero_probability_outputs():
 def test_sum_rate_anchors():
     assert sum_rate(antidiag_channel(), [0.5, 0.5], [0.5, 0.5]) == 1.5
     assert sum_rate(all_good_channel(2), ProbVector.uniform(4), ProbVector.uniform(4)) == 4.0
-    assert sum_rate(all_bad_channel(2), ProbVector.uniform(4), ProbVector.uniform(4)) == 0.0
+    dead = sum_rate(all_bad_channel(2), ProbVector.uniform(4), ProbVector.uniform(4))
+    assert dead == 0.0 and math.copysign(1.0, dead) == 1.0
 
 
 @given(
@@ -234,7 +218,9 @@ def test_alternating_maximization_all_good():
 def test_alternating_maximization_all_bad():
     result = alternating_maximization(all_bad_channel(1))
     assert result.value == 0.0
+    assert math.copysign(1.0, result.value) == 1.0
     assert result.converged
+    assert result.kkt_gap == 0.0
 
 
 def test_alternating_maximization_monotone_sweeps():
@@ -251,6 +237,120 @@ def test_alternating_maximization_accepts_inits():
     assert result.value <= 1.5 + 1e-9
 
 
+def good_products(channel, p, transpose=False):
+    """(good @ p, good @ xlog2x(p)) from the dense matrix, apart from the
+    package's operator; good.T with transpose=True."""
+    good = 1.0 - channel.matrix.to_dense().astype(np.float64)
+    if transpose:
+        good = good.T
+    return good @ p, good @ xlog2x(p)
+
+
+def simplex_projection(v):
+    """Euclidean projection onto the probability simplex (sort-based)."""
+    mu = np.sort(v)[::-1]
+    cssv = np.cumsum(mu) - 1.0
+    rho = np.nonzero(mu * np.arange(1, v.size + 1) > cssv)[0][-1]
+    w = np.maximum(v - cssv[rho] / (rho + 1.0), 0.0)
+    return w / w.sum()
+
+
+def one_marginal_value(u, s, t):
+    erased = min(max(1.0 - float(u @ s), 0.0), 1.0)
+    return float(-(xlog2x(u) @ s) - u @ t - xlog2x(erased))
+
+
+def projected_gradient_update(s, t, u, iters=200):
+    """The projected-gradient ascent with halving line search that the
+    exact update replaced; an oracle the exact update must never lose to."""
+    f = one_marginal_value(u, s, t)
+    step = 1.0
+    for _ in range(iters):
+        grad = (
+            -s * np.log2(np.maximum(u, 1e-300)) - t
+            + s * np.log2(max(1.0 - float(u @ s), 1e-300))
+        )
+        stp = step
+        while stp >= 1e-16:
+            trial = simplex_projection(u + stp * grad)
+            ft = one_marginal_value(trial, s, t)
+            if ft > f:
+                break
+            stp *= 0.5
+        else:
+            break
+        gain = ft - f
+        u, f = trial, ft
+        step = min(2.0 * stp, 64.0)
+        if gain < 1e-12:
+            break
+    return u, f
+
+
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_exact_update_is_the_best_response(m, seed):
+    rng = np.random.default_rng(seed)
+    channel = random_channel(m, seed, density=rng.uniform(0.1, 0.9))
+    n = channel.n
+    for transpose in (False, True):
+        other = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)  # some zero masses
+        if other.sum() == 0:
+            other[rng.integers(n)] = 1.0
+        other /= other.sum()
+        s, t = good_products(channel, other, transpose)
+        u, value = _maximize_marginal(s, t)
+        assert u.min() >= 0.0 and abs(u.sum() - 1.0) <= 1e-12
+        pair = (other, u) if transpose else (u, other)
+        assert abs(value - dict_entropy(output_stats(channel, *pair).y_distribution)) <= 1e-9
+        _, old = projected_gradient_update(s, t, np.full(n, 1.0 / n))
+        assert value >= old - 1e-12
+        for point in rng.dirichlet(np.ones(n), size=200):
+            assert value >= one_marginal_value(point, s, t) - 1e-12
+
+
+def test_exact_update_edge_cases():
+    # every s_i = 1: nothing erases and u is proportional to 2^(-t_i)
+    t = np.array([-1.0, -2.0, 0.0])
+    u, _ = _maximize_marginal(np.ones(3), t)
+    assert np.allclose(u, [2 / 7, 4 / 7, 1 / 7], rtol=0, atol=1e-15)
+    # a row with s_i = 0 next to one with s_i = 1: they split like an
+    # erasure against one good output, half and half
+    u, value = _maximize_marginal(np.array([1.0, 0.0]), np.zeros(2))
+    assert np.allclose(u, [0.5, 0.5], rtol=0, atol=1e-15) and abs(value - 1.0) <= 1e-15
+    # every s_i = 0: all inputs erase
+    u, value = _maximize_marginal(np.zeros(4), np.zeros(4))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_kkt_gap_bounds_one_more_step(m, seed, sweeps):
+    channel = random_channel(m, seed)
+    rng = np.random.default_rng(seed + 4)
+    n = channel.n
+    result = alternating_maximization(
+        channel, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), max_iters=sweeps
+    )
+    u, v = result.p1.probs, result.p2.probs
+    here = sum_rate(channel, u, v)
+    _, better_u = _maximize_marginal(*good_products(channel, v))
+    _, better_v = _maximize_marginal(*good_products(channel, u, transpose=True))
+    assert result.kkt_gap >= 0.0
+    assert result.kkt_gap >= max(better_u, better_v) - here - 1e-12
+
+
+def test_operator_cache_drops_collected_channels():
+    channels = [random_channel(10, seed) for seed in range(4)]
+    for channel in channels:
+        maximize_sum_rate(channel, restarts=0, max_iters=2)
+    keys = {id(channel.matrix) for channel in channels}
+    assert keys <= set(capacity._OPS_CACHE)
+    del channels, channel
+    gc.collect()
+    assert not keys & set(capacity._OPS_CACHE)
+
+
 def test_maximize_sum_rate_deterministic():
     channel = random_channel(2, seed=5, density=0.5)
     a = maximize_sum_rate(channel, restarts=3, seed=9)
@@ -259,6 +359,8 @@ def test_maximize_sum_rate_deterministic():
     assert a.p1 == b.p1 and a.p2 == b.p2
     with pytest.raises(ValueError):
         maximize_sum_rate(channel, restarts=-1)
+    with pytest.raises(ValueError):
+        maximize_sum_rate(channel, max_iters=0)
 
 
 def test_maximize_sum_rate_restarts_never_hurt():
@@ -291,6 +393,17 @@ def test_brute_force_validation():
     for steps in (0, 256):
         with pytest.raises(ValueError):
             brute_force_sum_capacity(channel, grid_steps=steps)
+
+
+def test_brute_force_argmax_independent_of_chunk(monkeypatch):
+    # the m = 2 channels of acceptance 5, on a coarser grid
+    for seed in range(100, 108):
+        channel = random_channel(2, seed)
+        results = []
+        for chunk in (37, 256, 4096):
+            monkeypatch.setattr(capacity, "_BF_CHUNK", chunk)
+            results.append(brute_force_sum_capacity(channel, grid_steps=24))
+        assert all(r == results[0] for r in results[1:])
 
 
 def naive_grid_max(channel, steps):

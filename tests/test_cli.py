@@ -168,7 +168,9 @@ def test_capacity_line_and_marginals(stored_channel, tmp_path, capsys):
     )
     assert code == 0
     match = re.fullmatch(
-        r"sum_rate=([\d.]+) converged=(true|false) restarts=2", out.strip()
+        r"sum_rate=([\d.]+) converged=(true|false) restarts=2"
+        r" sweeps=([1-9]\d*) kkt_gap=(\d\.\d{3}e[+-]\d{2})",
+        out.strip(),
     )
     assert match
     payload = json.loads(marg.read_text())

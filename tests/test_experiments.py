@@ -171,6 +171,28 @@ def test_sweep_reproducible(tmp_path):
         assert d1 == d2
 
 
+def test_sweep_rerun_replaces_records(tmp_path):
+    config = tiny_config(tmp_path)
+    run_sweep(config)
+    run_sweep(config)
+    out = tmp_path / "out"
+    assert len((out / "records.jsonl").read_text().splitlines()) == 2
+    with open(out / "records.csv") as fh:
+        assert len(list(csv.reader(fh))) == 3  # header and 2 rows
+
+
+def test_sweep_records_optimizer_certificate(tmp_path):
+    records = run_sweep(tiny_config(tmp_path))
+    out = tmp_path / "out"
+    for record, line in zip(records, (out / "records.jsonl").read_text().splitlines()):
+        row = json.loads(line)
+        assert row["converged"] is record.converged is True
+        assert row["sweeps"] == record.sweeps >= 1
+        assert row["kkt_gap"] == record.kkt_gap >= 0.0
+    with open(out / "records.csv") as fh:
+        assert next(csv.reader(fh)) == list(CSV_COLUMNS)
+
+
 def test_sweep_records_monte_carlo(tmp_path):
     config = tiny_config(tmp_path, m_values=(3,), g_values=(2,), monte_carlo_trials=50)
     records = run_sweep(config)

@@ -14,9 +14,10 @@ s_i = sum_j good(i, j) p2(j) and t_i = sum_j good(i, j) p2(j) log2 p2(j),
     H(Y) = - sum_i p1(i) log2(p1(i)) s_i - sum_i p1(i) t_i
            - (1 - gamma) log2(1 - gamma),      gamma = p1 . s,
 
-so for fixed p2 the objective is an O(n) function of p1 after one pass over
-the matrix, and it is concave in p1 (the output law is affine in p1 and
-entropy is concave), with a maximizer in closed form up to one scalar
+so for fixed p2 the objective is an O(n) function of p1 after one product
+of the sparse good-entry pattern (ChannelMatrix.good) with [p2, p2 log2 p2].
+It is concave in p1 (the output law is affine in p1 and entropy is
+concave), with a maximizer in closed form up to one scalar
 multiplier (the Blahut-Arimoto step, as Rezaeian and Grant apply it to the
 multiple-access sum rate). The maximizer here alternates these exact
 updates over the two marginals; the exhaustive grid oracle cross-checks it
@@ -30,7 +31,6 @@ small subset. All logarithms are base 2 and 0 log 0 = 0.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,57 +132,6 @@ def as_distribution(p, n: int | None = None) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Matrix-side products
-# ----------------------------------------------------------------------
-
-_DENSE_LIMIT = 4096  # densify the good matrix up to this alphabet size
-_STREAM_ROWS = 2048
-
-
-class _GoodOps:
-    """Products against the good-entry indicator of one matrix."""
-
-    def __init__(self, matrix):
-        # weak, so that the cache entry below dies with its matrix
-        self.matrix_ref = weakref.ref(matrix)
-        self.packed_rows = matrix.packed_rows
-        self._dense = None
-        if matrix.n <= _DENSE_LIMIT:
-            self._dense = (1 - matrix.to_dense()).astype(np.float64)
-
-    def products(self, X: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """good @ X, or good.T @ X with transpose=True; X is (n, k)."""
-        if self._dense is not None:  # as (X.T @ A).T: thin X runs faster on the left
-            return (X.T @ (self._dense if transpose else self._dense.T)).T
-        n = self.packed_rows.shape[0]
-        out = np.zeros((n, X.shape[1]) if X.ndim == 2 else n, dtype=np.float64)
-        for lo in range(0, n, _STREAM_ROWS):
-            hi = min(lo + _STREAM_ROWS, n)
-            good = 1 - np.unpackbits(self.packed_rows[lo:hi], axis=1, count=n)
-            chunk = good.astype(np.float64)
-            if transpose:
-                out += chunk.T @ X[lo:hi]
-            else:
-                out[lo:hi] = chunk @ X
-        return out
-
-
-# keyed by id(); ChannelMatrix has content equality and no hash
-_OPS_CACHE: dict = {}
-
-
-def _good_ops(channel: Channel) -> _GoodOps:
-    matrix = channel.matrix
-    key = id(matrix)
-    ops = _OPS_CACHE.get(key)
-    if ops is None or ops.matrix_ref() is not matrix:
-        ops = _GoodOps(matrix)
-        _OPS_CACHE[key] = ops
-        weakref.finalize(matrix, _OPS_CACHE.pop, key, None)
-    return ops
-
-
-# ----------------------------------------------------------------------
 # Output statistics and rates
 # ----------------------------------------------------------------------
 
@@ -236,7 +185,7 @@ def sum_rate(channel: Channel, p1, p2) -> float:
     n = channel.n
     u = as_distribution(p1, n)
     v = as_distribution(p2, n)
-    st = _good_ops(channel).products(_with_logs(v))
+    st = channel.matrix.good @ _with_logs(v)
     return _entropy_from_products(u, xlog2x(u), st[:, 0], st[:, 1])
 
 
@@ -256,9 +205,9 @@ def rate_triple(channel: Channel, p1, p2) -> RateTriple:
     u = as_distribution(p1, n)
     v = as_distribution(p2, n)
     ul, vl = xlog2x(u), xlog2x(v)
-    ops = _good_ops(channel)
-    row = ops.products(np.column_stack([v, vl]))
-    col = ops.products(np.column_stack([u, ul]), transpose=True)
+    good = channel.matrix.good
+    row = good @ np.column_stack([v, vl])
+    col = good.T @ np.column_stack([u, ul])
     i2 = float(-(u @ row[:, 1]) - u @ xlog2x(np.clip(1.0 - row[:, 0], 0.0, 1.0)))
     i1 = float(-(v @ col[:, 1]) - v @ xlog2x(np.clip(1.0 - col[:, 0], 0.0, 1.0)))
     i12 = _entropy_from_products(u, ul, row[:, 0], row[:, 1])
@@ -379,8 +328,9 @@ def alternating_maximization(
     n = channel.n
     u = as_distribution(init1, n) if init1 is not None else np.full(n, 1.0 / n)
     v = as_distribution(init2, n) if init2 is not None else np.full(n, 1.0 / n)
-    ops = _good_ops(channel)
-    row = ops.products(_with_logs(v))
+    good = channel.matrix.good
+    good_t = good.T  # a new view per .T, so take it once per run
+    row = good @ _with_logs(v)
     value = _entropy_from_products(u, xlog2x(u), row[:, 0], row[:, 1])
     sweep_values = []
     converged = False
@@ -388,9 +338,9 @@ def alternating_maximization(
     for _ in range(max_iters):
         iterations += 1
         u, _ = _maximize_marginal(row[:, 0], row[:, 1])
-        col = ops.products(_with_logs(u), transpose=True)
+        col = good_t @ _with_logs(u)
         v, new_value = _maximize_marginal(col[:, 0], col[:, 1])
-        row = ops.products(_with_logs(v))
+        row = good @ _with_logs(v)
         sweep_values.append(new_value)
         if new_value - value < tol:
             value = max(value, new_value)
@@ -488,7 +438,7 @@ def brute_force_sum_capacity(channel: Channel, grid_steps: int) -> BruteForceRes
     K = comps.shape[0]
     U = (comps / grid_steps).astype(np.float32)
     UL = xlog2x(comps / grid_steps).astype(np.float32)
-    good = (1 - channel.matrix.to_dense()).astype(np.float32)
+    good = channel.matrix.good.toarray().astype(np.float32)
     # Left factor [ul | u], right factor [good @ u ; good @ ul] so one matmul
     # yields the two pair-dependent entropy terms at once.
     left = np.hstack([UL, U])

@@ -32,8 +32,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     ChannelFormatError,
@@ -68,9 +70,9 @@ ERASURE: tuple[str, str] = ("E", "E")
 DEFAULT_MAX_M = 14
 MAX_M_ENV_VAR = "COOPCAP_MAX_M"
 
-# Rows sampled per RNG draw while generating large matrices. The generator
-# consumes its stream element-wise in row-major order, so the chunk size does
-# not affect the sampled bits, only peak memory.
+# Rows unpacked at once while sampling a matrix or building its good-entry
+# pattern. The generator consumes its stream element-wise in row-major order,
+# so the chunk size does not affect the sampled bits, only peak memory.
 _SAMPLE_CHUNK_ROWS = 1 << 12
 
 
@@ -178,7 +180,8 @@ class ChannelMatrix:
 
     packed_rows has shape (2^m, ceil(2^m / 8)); bit j of row i (big-endian
     within each byte) is entry (i+1, j+1). Padding bits past column 2^m must
-    be zero. Arrays are frozen after construction.
+    be zero. Arrays are frozen after construction; good, the sparse pattern
+    of good entries, is built on first use and lives as long as the matrix.
     """
 
     m: int
@@ -247,6 +250,30 @@ class ChannelMatrix:
     def to_dense(self) -> np.ndarray:
         """Full (2^m, 2^m) uint8 matrix. Materializes a copy."""
         return np.unpackbits(self.packed_rows, axis=1, count=self.n)
+
+    @cached_property
+    def good(self) -> sparse.csr_array:
+        """Good-entry indicator: a read-only float64 CSR array, 1.0 where the
+        bit is 0. Built strip by strip into preallocated arrays, so the
+        transient memory is one strip's worth, not the whole matrix's."""
+        n = self.n
+        counts = n - np.bitwise_count(self.packed_rows).sum(axis=1, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        nnz = int(indptr[-1])
+        index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        indptr = indptr.astype(index_dtype)
+        indices = np.empty(nnz, dtype=index_dtype)
+        for lo in range(0, n, _SAMPLE_CHUNK_ROWS):
+            hi = min(lo + _SAMPLE_CHUNK_ROWS, n)
+            # padding bits of the inverted bytes are ones; count=n drops them
+            flat = np.flatnonzero(np.unpackbits(~self.packed_rows[lo:hi], axis=1, count=n))
+            flat &= n - 1  # flat position -> column, since n is a power of two
+            indices[indptr[lo] : indptr[hi]] = flat
+        data = np.ones(nnz)
+        for arr in (data, indices, indptr):
+            arr.flags.writeable = False
+        return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
     @classmethod
     def from_dense(cls, arr) -> "ChannelMatrix":
@@ -351,17 +378,18 @@ def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
         raise ValueError(f"g must be in [1, m={m}], got {g}")
     width = 1 << g
     nblocks = n >> g
-    failures: list[tuple[str, int, int]] = []
-    for x in range(n):
-        row = matrix.row_bits(x + 1)
-        allbad = row.reshape(nblocks, width).all(axis=1)
-        failures.extend(("row", x + 1, int(k)) for k in np.nonzero(allbad)[0])
+    rows: list[tuple[str, int, int]] = []
+    cols: list[tuple[str, int, int]] = []
+    # Band k holds rows k*2^g.. and is column block k, so one unpack of it
+    # serves the row blocks of its rows and block k of every column.
     for k in range(nblocks):
         band = np.unpackbits(
             matrix.packed_rows[k * width : (k + 1) * width], axis=1, count=n
         )
-        allbad = band.all(axis=0)
-        failures.extend(("col", int(x) + 1, k) for x in np.nonzero(allbad)[0])
+        xs, ks = np.nonzero(band.reshape(width, nblocks, width).all(axis=2))
+        rows.extend(("row", k * width + int(x) + 1, int(b)) for x, b in zip(xs, ks))
+        cols.extend(("col", int(x) + 1, k) for x in np.nonzero(band.all(axis=0))[0])
+    failures = rows + cols
     return BlockCheckResult(passed=not failures, failures=tuple(failures))
 
 
@@ -605,26 +633,24 @@ def deserialize_channel(path, *, verify: bool = True) -> Channel:
         matrix = ChannelMatrix(m=params.m, packed_rows=np.packbits(flat.reshape(n, n), axis=1))
     elif len(body) in (n * (n + 1), n * (n + 1) - 1):
         text = np.frombuffer(body, dtype=np.uint8)
-        for i in range(n):
-            line_start = i * (n + 1)
-            line = text[line_start : line_start + n]
-            bad = np.nonzero((line != ord("0")) & (line != ord("1")))[0]
-            if len(line) < n or bad.size:
-                bad_at = int(bad[0]) if bad.size else len(line)
+        if len(body) < n * (n + 1):  # the last row's newline is optional
+            text = np.concatenate([text, np.array([ord("\n")], dtype=np.uint8)])
+        grid = text.reshape(n, n + 1)
+        bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
+        bad_chars = bits.max(axis=1) > 1
+        bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))
+        if bad.size:  # report the first bad byte in file order
+            i = int(bad[0])
+            if bad_chars[i]:
                 raise ChannelFormatError(
                     f"row {i + 1} is not {n} characters of 0/1",
-                    offset=body_start + line_start + bad_at,
+                    offset=body_start + i * (n + 1) + int(np.argmax(bits[i] > 1)),
                 )
-            if line_start + n < len(text) and text[line_start + n] != ord("\n"):
-                raise ChannelFormatError(
-                    f"row {i + 1} not terminated by newline",
-                    offset=body_start + line_start + n,
-                )
-        rows = text.reshape(n, n + 1)[:, :n] if len(body) == n * (n + 1) else None
-        if rows is None:
-            padded = np.concatenate([text, np.array([ord("\n")], dtype=np.uint8)])
-            rows = padded.reshape(n, n + 1)[:, :n]
-        matrix = ChannelMatrix(m=params.m, packed_rows=np.packbits(rows - ord("0"), axis=1))
+            raise ChannelFormatError(
+                f"row {i + 1} not terminated by newline",
+                offset=body_start + i * (n + 1) + n,
+            )
+        matrix = ChannelMatrix(m=params.m, packed_rows=np.packbits(bits, axis=1))
     else:
         raise ChannelFormatError(
             f"body has {len(body)} bytes; expected {packed_size} (binary) or "

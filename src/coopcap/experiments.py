@@ -51,9 +51,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "run_sweep",
-    "export_records",
     "export_csv",
-    "export_jsonl",
     "load_jsonl",
     "plot_data",
     "CSV_COLUMNS",
@@ -299,22 +297,6 @@ def export_csv(records, path) -> None:
         for record in records:
             d = asdict(record)
             writer.writerow([d[c] for c in CSV_COLUMNS])
-
-
-def export_jsonl(records, path) -> None:
-    """Every field of every record, one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(asdict(record)) + "\n")
-
-
-def export_records(records, path, format: str) -> None:
-    if format == "csv":
-        export_csv(records, path)
-    elif format == "jsonl":
-        export_jsonl(records, path)
-    else:
-        raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
 
 
 def load_jsonl(path) -> list[ExperimentRecord]:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from coopcap import (
     maximize_sum_rate,
     output_stats,
     rate_triple,
+    sample_matrix,
     sum_rate,
     tail_mass_bound,
     xlog2x,
@@ -342,13 +344,45 @@ def test_kkt_gap_bounds_one_more_step(m, seed, sweeps):
 
 def test_operator_cache_drops_collected_channels():
     channels = [random_channel(10, seed) for seed in range(4)]
+    refs = []
     for channel in channels:
         maximize_sum_rate(channel, restarts=0, max_iters=2)
-    keys = {id(channel.matrix) for channel in channels}
-    assert keys <= set(capacity._OPS_CACHE)
+        refs.append(weakref.ref(channel.matrix.good))
+    assert all(ref() is not None for ref in refs)
     del channels, channel
     gc.collect()
-    assert not keys & set(capacity._OPS_CACHE)
+    assert all(ref() is None for ref in refs)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.sampled_from(["random", "good", "bad"]))
+@settings(max_examples=40, deadline=None)
+def test_good_pattern_products_match_dense(m, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        channel = random_channel(m, seed, density=rng.uniform(0.05, 0.95))
+    else:
+        channel = all_good_channel(m) if kind == "good" else all_bad_channel(m)
+    good = channel.matrix.good
+    assert good is channel.matrix.good
+    assert good.indices.dtype == good.indptr.dtype == np.int32
+    assert good.dtype == np.float64 and not good.data.flags.writeable
+    p = rng.dirichlet(np.ones(channel.n)) * (rng.random(channel.n) < 0.8)
+    X = np.column_stack([p, xlog2x(p)])
+    for product, transpose in ((good @ X, False), (good.T @ X, True)):
+        s, t = good_products(channel, p, transpose)
+        assert np.allclose(product, np.column_stack([s, t]), rtol=0, atol=1e-13)
+
+
+def test_sum_rate_uniform_m13():
+    # n = 8192 is the smallest size whose good pattern is built in two strips
+    m = 13
+    matrix = sample_matrix(m, 0.85, 13)
+    channel = channel_from_matrix(matrix, g=1, verify=False)
+    bad = int(np.unpackbits(matrix.packed_rows).sum(dtype=np.int64))
+    gamma = 1.0 - bad / 4**m
+    expected = gamma * 2 * m - (1.0 - gamma) * math.log2(1.0 - gamma)
+    uniform = ProbVector.uniform(1 << m)
+    assert abs(sum_rate(channel, uniform, uniform) - expected) <= 1e-9
 
 
 def test_maximize_sum_rate_deterministic():

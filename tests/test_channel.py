@@ -319,7 +319,7 @@ def test_block_check_matches_oracle(m, seed, g):
     )
     result = check_block_goodness(ChannelMatrix.from_dense(dense), g)
     oracle = block_check_oracle(dense, g)
-    assert sorted(result.failures) == sorted(oracle)
+    assert result.failures == tuple(oracle)
     assert result.passed == (not oracle)
 
 
@@ -531,6 +531,73 @@ def test_deserialize_body_errors(tmp_path):
     with pytest.raises(ChannelFormatError) as err:
         deserialize_channel(bad)
     assert err.value.offset == len(header) + 1
+
+
+def text_body_error_oracle(body: bytes, n: int, body_start: int):
+    """Row-by-row reading of a text body: the error deserialize_channel must
+    raise for it (the first bad byte in file order), or None if valid."""
+    text = np.frombuffer(body, dtype=np.uint8)
+    for i in range(n):
+        line_start = i * (n + 1)
+        line = text[line_start : line_start + n]
+        bad = np.nonzero((line != ord("0")) & (line != ord("1")))[0]
+        if len(line) < n or bad.size:
+            bad_at = int(bad[0]) if bad.size else len(line)
+            return ChannelFormatError(
+                f"row {i + 1} is not {n} characters of 0/1",
+                offset=body_start + line_start + bad_at,
+            )
+        if line_start + n < len(text) and text[line_start + n] != ord("\n"):
+            return ChannelFormatError(
+                f"row {i + 1} not terminated by newline",
+                offset=body_start + line_start + n,
+            )
+    return None
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["char", "newline", "last row"]),
+            st.integers(0, 7),
+            st.integers(0, 7),
+            st.one_of(st.sampled_from(b"/012\n\r"), st.integers(0, 255)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_text_body_errors_match_oracle(m, seed, final_newline, corruptions):
+    import tempfile
+
+    n = 1 << m
+    dense = random_dense(np.random.default_rng(seed), m)
+    body = bytearray(b"".join(bytes(row + ord("0")) + b"\n" for row in dense))
+    if not final_newline:
+        del body[-1]
+    for kind, row, col, value in corruptions:
+        row = n - 1 if kind == "last row" else row % n
+        col = n if kind == "newline" else col % n
+        body[min(row * (n + 1) + col, len(body) - 1)] = value
+    header = f"MACCF 1 m={m} p=0.5 eps=0.5 f=1 g=1 seed=0\n".encode()
+    expected = text_body_error_oracle(bytes(body), n, len(header))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/c.maccf"
+        with open(path, "wb") as fh:
+            fh.write(header + body)
+        if expected is None:
+            rows = [list(row) for row in bytes(body).split(b"\n")[:n]]
+            loaded = deserialize_channel(path, verify=False).matrix.to_dense()
+            assert np.array_equal(loaded, np.array(rows) - ord("0"))
+            return
+        with pytest.raises(ChannelFormatError) as err:
+            deserialize_channel(path, verify=False)
+    assert str(err.value) == str(expected)
+    assert err.value.offset == expected.offset
 
 
 def test_deserialize_binary_exact_length(tmp_path):

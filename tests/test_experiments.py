@@ -13,7 +13,6 @@ from coopcap import (
     default_g,
     default_p,
     deserialize_channel,
-    export_records,
     load_jsonl,
     run_sweep,
 )
@@ -235,14 +234,3 @@ def test_load_jsonl_round_trip(tmp_path):
     records = run_sweep(tiny_config(tmp_path))
     loaded = load_jsonl(tmp_path / "out" / "records.jsonl")
     assert loaded == records
-
-
-def test_export_records_formats(tmp_path):
-    records = run_sweep(tiny_config(tmp_path))
-    export_records(records, tmp_path / "x.jsonl", "jsonl")
-    assert load_jsonl(tmp_path / "x.jsonl") == records
-    export_records(records, tmp_path / "x.csv", "csv")
-    with open(tmp_path / "x.csv") as fh:
-        assert next(csv.reader(fh)) == list(CSV_COLUMNS)
-    with pytest.raises(ValueError):
-        export_records(records, tmp_path / "x.tsv", "tsv")

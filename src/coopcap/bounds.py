@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
@@ -293,8 +294,8 @@ class FailureBounds:
 
     Bounds, not probabilities: either may exceed 1 (log2 > 0), in which
     case it is vacuous. density_enumerated tells whether the density
-    figure came from the exact double sum or the closed-form corner
-    over-estimate.
+    figure is the exact double sum or, past _DENSITY_EXACT_LIMIT rows, the
+    term count times the largest term.
     """
 
     block_bound_log2: float
@@ -316,7 +317,7 @@ class FailureBounds:
         return self._linear(self.density_bound_log2)
 
 
-_DENSITY_ENUM_LIMIT = 1 << 24  # max number of (i, j) terms to sum exactly
+_DENSITY_EXACT_LIMIT = 1 << 20  # max number of rows i whose sums are taken exactly
 
 
 def construction_failure_bounds(
@@ -326,10 +327,12 @@ def construction_failure_bounds(
     block property or the sampled-density property.
 
     block:    2^(2m - g + 1) * p^(2^g)
-    density:  sum over f <= i, j <= 2^m of exp((i+j) m ln2 - 2 (p-1+eps)^2 i j),
-              summed exactly in log space when the term count fits, else
-              replaced by the corner over-estimate
-              exp(2m (1+f) ln2 - 2 (p-1+eps)^2 f^2).
+    density:  sum over f <= i, j <= 2^m of exp(h(i, j)), with
+              h(i, j) = (i+j) m ln2 - 2 (p-1+eps)^2 i j.
+              For fixed i the sum over j is geometric, so it is summed
+              exactly in O(2^m) when there are at most _DENSITY_EXACT_LIMIT
+              rows i. Past that it is replaced by the term count times the
+              largest term; h is bilinear, so that term is at a corner.
     """
     if not 1 <= g_of_m <= m:
         raise ValueError(f"need 1 <= g <= m, got g={g_of_m}, m={m}")
@@ -345,13 +348,27 @@ def construction_failure_bounds(
     n = 1 << m
     count = n - f_of_m + 1
     ln2 = math.log(2.0)
-    if count * count <= _DENSITY_ENUM_LIMIT:
-        ij = np.arange(f_of_m, n + 1, dtype=np.float64)
-        h = (ij[:, None] + ij[None, :]) * (m * ln2) - d2 * (ij[:, None] * ij[None, :])
-        density = float(logsumexp(h)) / ln2
+    a = m * ln2
+    if count <= _DENSITY_EXACT_LIMIT:
+        i = np.arange(f_of_m, n + 1, dtype=np.float64)
+        c = a - d2 * i  # log-ratio of row i's geometric series in j
+        s = np.abs(c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_series = np.where(
+                s > 0,
+                np.maximum(c, 0.0) * (count - 1)
+                + np.log(-np.expm1(-s * count))
+                - np.log(-np.expm1(-s)),
+                math.log(count),
+            )
+        density = float(logsumexp(i * a + c * f_of_m + log_series)) / ln2
         enumerated = True
     else:
-        density = 2.0 * m * (1 + f_of_m) - d2 * f_of_m**2 / ln2
+        # Corners in exact rationals, since 2^m leaves the float range past m = 1023.
+        corners = ((f_of_m, f_of_m), (f_of_m, n), (n, n))  # h is symmetric
+        top = max((i + j) * Fraction(a) - Fraction(d2) * i * j for i, j in corners)
+        top = float(top) if abs(top) < 1e300 else (math.inf if top > 0 else -math.inf)
+        density = 2.0 * math.log2(count) + top / ln2
         enumerated = False
     return FailureBounds(
         block_bound_log2=block,

@@ -36,19 +36,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Channel, ERASURE
+from .channel import Channel
 from .errors import InvariantViolation
 
 __all__ = [
     "ProbVector",
-    "OutputStats",
     "RateTriple",
     "AltMaxResult",
     "BruteForceResult",
     "UniformDecomposition",
     "xlog2x",
     "entropy_bits",
-    "output_stats",
     "sum_rate",
     "rate_triple",
     "alternating_maximization",
@@ -132,42 +130,8 @@ def as_distribution(p, n: int | None = None) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Output statistics and rates
+# Rates
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class OutputStats:
-    """Output law of one channel use under a product input distribution.
-
-    gamma_by_x1[i - 1] is the probability of sending symbol i and landing
-    on a good entry; gamma is their sum; y_distribution maps each output
-    with positive mass, including ERASURE, to its probability.
-    """
-
-    gamma_by_x1: np.ndarray
-    gamma: float
-    y_distribution: dict
-
-
-def output_stats(channel: Channel, p1, p2) -> OutputStats:
-    n = channel.n
-    u = as_distribution(p1, n)
-    v = as_distribution(p2, n)
-    gamma_by = np.zeros(n)
-    y: dict = {}
-    for i in range(n):
-        good = channel.matrix.row_bits(i + 1) == 0
-        s_i = float(v[good].sum())
-        gamma_by[i] = u[i] * s_i
-        if u[i] > 0:
-            for j in np.nonzero(good & (v > 0))[0]:
-                y[(i + 1, int(j) + 1)] = float(u[i] * v[j])
-    gamma = float(gamma_by.sum())
-    erased = 1.0 - gamma
-    if erased > 0:
-        y[ERASURE] = erased
-    return OutputStats(gamma_by_x1=gamma_by, gamma=gamma, y_distribution=y)
 
 
 def _with_logs(p: np.ndarray) -> np.ndarray:

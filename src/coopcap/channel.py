@@ -56,10 +56,10 @@ __all__ = [
     "memory_cap",
     "sample_matrix",
     "check_block_goodness",
+    "first_good",
     "estimate_bad_density",
     "construct_channel",
     "channel_from_matrix",
-    "channel_apply",
     "serialize_channel",
     "deserialize_channel",
 ]
@@ -74,6 +74,14 @@ MAX_M_ENV_VAR = "COOPCAP_MAX_M"
 # pattern. The generator consumes its stream element-wise in row-major order,
 # so the chunk size does not affect the sampled bits, only peak memory.
 _SAMPLE_CHUNK_ROWS = 1 << 12
+
+# Failures a BlockCheckResult lists; every failure is counted.
+_LISTED_FAILURES = 1000
+
+# Rows transposed at once, and the three shift-and-mask steps that transpose
+# an 8 x 8 bit block held in a 64-bit word (Warren, Hacker's Delight, 7-3).
+_TRANSPOSE_ROWS = 128
+_TRANSPOSE_8X8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def memory_cap() -> int:
@@ -211,13 +219,14 @@ class ChannelMatrix:
         """Total number of matrix bits, 2^(2m)."""
         return self.n * self.n
 
-    def bit(self, x1: int, x2: int) -> int:
-        """Entry at 1-based position (x1, x2)."""
+    def bit(self, x1, x2):
+        """Entry at 1-based position (x1, x2); arrays of positions broadcast
+        and give the array of entries."""
         n = self.n
-        if not (1 <= x1 <= n and 1 <= x2 <= n):
+        if np.any((x1 < 1) | (x1 > n) | (x2 < 1) | (x2 > n)):
             raise ValueError(f"symbols must be in [1, {n}], got ({x1}, {x2})")
         j = x2 - 1
-        return int(self.packed_rows[x1 - 1, j >> 3] >> (7 - (j & 7)) & 1)
+        return self.packed_rows[x1 - 1, j >> 3] >> (7 - (j & 7)) & 1
 
     def row_bits(self, x1: int) -> np.ndarray:
         """Row x1 (1-based) as a length-2^m 0/1 array."""
@@ -227,20 +236,6 @@ class ChannelMatrix:
         """Column x2 (1-based) as a length-2^m 0/1 array."""
         j = x2 - 1
         return (self.packed_rows[:, j >> 3] >> (7 - (j & 7))) & 1
-
-    def row_block_bits(self, x1: int, k: int, g: int) -> np.ndarray:
-        """Bits of row x1 on aligned block k of width 2^g, without a full unpack."""
-        start = k << g
-        lo, hi = start >> 3, (start + (1 << g) + 7) >> 3
-        bits = np.unpackbits(self.packed_rows[x1 - 1, lo:hi])
-        off = start & 7
-        return bits[off : off + (1 << g)]
-
-    def col_block_bits(self, x2: int, k: int, g: int) -> np.ndarray:
-        """Bits of column x2 on aligned block k of width 2^g."""
-        j = x2 - 1
-        rows = slice(k << g, (k + 1) << g)
-        return (self.packed_rows[rows, j >> 3] >> (7 - (j & 7))) & 1
 
     @property
     def bits(self) -> np.ndarray:
@@ -308,12 +303,15 @@ class DensityReport:
 class BlockCheckResult:
     """Outcome of the exhaustive aligned-block goodness check.
 
-    failures lists (axis, x, k) with axis "row" or "col", x the 1-based line
-    index, and k the 0-based block index of a block with no good entry.
+    failure_count is the number of blocks with no good entry. failures lists
+    the first of them (at most _LISTED_FAILURES), every row block before every
+    column block, as (axis, x, k) with axis "row" or "col", x the 1-based line
+    index and k the 0-based block index.
     """
 
     passed: bool
     failures: tuple[tuple[str, int, int], ...]
+    failure_count: int
 
 
 @dataclass(frozen=True)
@@ -380,6 +378,7 @@ def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
     nblocks = n >> g
     rows: list[tuple[str, int, int]] = []
     cols: list[tuple[str, int, int]] = []
+    count = 0
     # Band k holds rows k*2^g.. and is column block k, so one unpack of it
     # serves the row blocks of its rows and block k of every column.
     for k in range(nblocks):
@@ -387,10 +386,73 @@ def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
             matrix.packed_rows[k * width : (k + 1) * width], axis=1, count=n
         )
         xs, ks = np.nonzero(band.reshape(width, nblocks, width).all(axis=2))
-        rows.extend(("row", k * width + int(x) + 1, int(b)) for x, b in zip(xs, ks))
-        cols.extend(("col", int(x) + 1, k) for x in np.nonzero(band.all(axis=0))[0])
-    failures = rows + cols
-    return BlockCheckResult(passed=not failures, failures=tuple(failures))
+        cs = np.nonzero(band.all(axis=0))[0]
+        count += len(xs) + len(cs)
+        room = _LISTED_FAILURES - len(rows)
+        rows.extend(("row", k * width + int(x) + 1, int(b)) for x, b in zip(xs[:room], ks[:room]))
+        cols.extend(("col", int(x) + 1, k) for x in cs[: _LISTED_FAILURES - len(cols)])
+    failures = (rows + cols)[:_LISTED_FAILURES]
+    return BlockCheckResult(passed=count == 0, failures=tuple(failures), failure_count=count)
+
+
+def _first_zero_table(bits: int) -> np.ndarray:
+    """[byte, i]: 1-based offset of the first 0 bit in the i-th run of
+    `bits` bits of byte (big-endian), 0 when the run is all ones."""
+    runs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    runs = runs.reshape(256, 8 // bits, bits)
+    return np.where(runs.all(axis=2), 0, runs.argmin(axis=2) + 1).astype(np.uint16)
+
+
+_FIRST_ZERO = {bits: _first_zero_table(bits) for bits in (2, 4, 8)}
+
+
+def _transposed_rows(matrix: ChannelMatrix) -> np.ndarray:
+    """packed_rows of the transposed matrix. Each 8 x 8 block of bits moves
+    as one 64-bit word and is transposed inside it, a band of rows at a time."""
+    n, packed = matrix.n, matrix.packed_rows
+    if n < 8:
+        return np.packbits(matrix.to_dense().T, axis=1)
+    nb = n // 8
+    out = np.empty_like(packed)
+    out_blocks = out.reshape(nb, 8, nb)  # [byte column, row in block, row group]
+    for lo in range(0, n, _TRANSPOSE_ROWS):
+        band = packed[lo : lo + _TRANSPOSE_ROWS]
+        groups = len(band) // 8
+        # word [i, j] holds rows 8i..8i+7 of byte column j, the first in its top byte
+        words = band.reshape(groups, 8, nb).transpose(0, 2, 1)
+        x = np.ascontiguousarray(words).view(">u8")[..., 0].astype(np.uint64)
+        for shift, mask in _TRANSPOSE_8X8:
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        blocks = x.astype(">u8").view(np.uint8).reshape(groups, nb, 8)
+        out_blocks[:, :, lo // 8 : lo // 8 + groups] = blocks.transpose(1, 2, 0)
+    return out
+
+
+def first_good(matrix: ChannelMatrix, g: int, axis: str) -> np.ndarray:
+    """First good entry of every aligned 2^g block of every row or column.
+
+    Entry [x, k] of the (2^m, 2^(m-g)) table is the 1-based offset in
+    {1..2^g} of the first good entry in block k of row x + 1 (axis "row")
+    or column x + 1 (axis "col"), and 0 when that block is all bad. It is
+    read from the packed bytes: a block of whole bytes is all bad when every
+    byte is 0xFF, and a 256-entry table finds the first 0 bit in a byte or
+    in each of its sub-byte blocks. A column table reads the transposed
+    matrix, which costs one pass and a second packed copy.
+    """
+    m, n = matrix.m, matrix.n
+    if not 1 <= g <= m:
+        raise ValueError(f"g must be in [1, m={m}], got {g}")
+    if axis not in ("row", "col"):
+        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    packed = matrix.packed_rows if axis == "row" else _transposed_rows(matrix)
+    if g <= 3:  # a byte holds 2^(3-g) whole blocks; padding blocks are dropped
+        return _FIRST_ZERO[1 << g][packed].reshape(n, -1)[:, : n >> g]
+    blocks = packed.reshape(n, n >> g, 1 << (g - 3))
+    first = np.argmax(blocks != 0xFF, axis=2)  # 0 when every byte is 0xFF
+    z = _FIRST_ZERO[8][np.take_along_axis(blocks, first[..., None], axis=2)[..., 0], 0]
+    table = np.where(z > 0, 8 * first + z, 0)
+    return table.astype(np.uint16 if g < 16 else np.uint32)
 
 
 def estimate_bad_density(
@@ -520,11 +582,6 @@ def channel_from_matrix(
     return Channel(matrix=matrix, params=params, block_property_verified=verified)
 
 
-def channel_apply(channel: Channel, x1: int, x2: int):
-    """Send (x1, x2) once: the pair itself on a good entry, else ERASURE."""
-    return (x1, x2) if channel.matrix.bit(x1, x2) == 0 else ERASURE
-
-
 # ----------------------------------------------------------------------
 # Serialization (MACCF/1)
 # ----------------------------------------------------------------------
@@ -626,16 +683,18 @@ def deserialize_channel(path, *, verify: bool = True) -> Channel:
     params, body_start = _parse_header(data)
     _require_within_cap(params.m)
     n = 1 << params.m
-    body = data[body_start:]
+    body = np.frombuffer(data, dtype=np.uint8, offset=body_start)  # a view, no copy
     packed_size = (n * n + 7) // 8
     if len(body) == packed_size:
-        flat = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=n * n)
-        matrix = ChannelMatrix(m=params.m, packed_rows=np.packbits(flat.reshape(n, n), axis=1))
+        if n % 8 == 0:  # the body is packed_rows already
+            packed = body.reshape(n, n // 8)
+        else:
+            packed = np.packbits(np.unpackbits(body, count=n * n).reshape(n, n), axis=1)
+        matrix = ChannelMatrix(m=params.m, packed_rows=packed)
     elif len(body) in (n * (n + 1), n * (n + 1) - 1):
-        text = np.frombuffer(body, dtype=np.uint8)
         if len(body) < n * (n + 1):  # the last row's newline is optional
-            text = np.concatenate([text, np.array([ord("\n")], dtype=np.uint8)])
-        grid = text.reshape(n, n + 1)
+            body = np.concatenate([body, np.array([ord("\n")], dtype=np.uint8)])
+        grid = body.reshape(n, n + 1)
         bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
         bad_chars = bits.max(axis=1) > 1
         bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))

@@ -25,6 +25,7 @@ from coopcap import (
     numeric_hull_max,
     theorem_gap,
 )
+from coopcap import bounds as bounds_module
 from coopcap.channel import ChannelMatrix
 from coopcap.errors import HypothesisViolation
 
@@ -309,19 +310,64 @@ def density_log2_oracle(m, p, f, epsilon):
 
 
 def test_density_bound_exact_branch_matches_oracle():
-    for p, eps in [(0.95, 0.1), (0.8, 0.3), (0.99, 0.005)]:
-        bounds = construction_failure_bounds(4, p, 8, 3, eps)
+    cases = [(4, 0.95, 8, 0.1), (4, 0.8, 8, 0.3), (4, 0.99, 8, 0.005)]
+    cases += [(m, p, f, eps) for m in (1, 2, 3, 5) for f in (1, 1 << (m - 1))
+              for p, eps in ((0.9, 0.2), (0.85, 0.15), (0.6, 0.1))]
+    for m, p, f, eps in cases:
+        bounds = construction_failure_bounds(m, p, f, 1, eps)
         assert bounds.density_enumerated
-        assert abs(bounds.density_bound_log2 - density_log2_oracle(4, p, 8, eps)) <= 1e-10
+        assert abs(bounds.density_bound_log2 - density_log2_oracle(m, p, f, eps)) <= 1e-10
 
 
-def test_density_bound_corner_branch():
-    m, f = 14, 196
-    bounds = construction_failure_bounds(m, 0.95, f, 8, 0.01)
+def density_log2_chunked(m, p, f, epsilon, rows=256):
+    """Literal log-sum-exp over every (i, j) term, a block of rows at a time."""
+    ln2 = math.log(2.0)
+    d2 = 2.0 * (p - 1.0 + epsilon) ** 2
+    j = np.arange(f, (1 << m) + 1, dtype=np.float64)
+    partial = []
+    for lo in range(f, (1 << m) + 1, rows):
+        i = np.arange(lo, min(lo + rows, (1 << m) + 1), dtype=np.float64)[:, None]
+        h = (i + j) * (m * ln2) - d2 * i * j
+        top = h.max()
+        partial.append(top + math.log(np.exp(h - top).sum()))
+    top = max(partial)
+    return (top + math.log(math.fsum(math.exp(x - top) for x in partial))) / ln2
+
+
+@pytest.mark.parametrize(
+    "m, eps, p, expected",
+    [(14, 0.05, 0.975, 226_329.9), (13, 0.3, 0.85, 18_814.3)],
+)
+def test_density_bound_matches_chunked_logsumexp(m, eps, p, expected):
+    f = m * m
+    bounds = construction_failure_bounds(m, p, f, default_g(m), eps)
+    assert bounds.density_enumerated
+    literal = density_log2_chunked(m, p, f, eps)
+    assert abs(bounds.density_bound_log2 - literal) <= 1e-9 * literal
+    assert round(bounds.density_bound_log2, 1) == expected
+
+
+def test_density_bound_past_exact_limit_over_estimates(monkeypatch):
+    cases = [(m, p, eps) for m in (5, 8, 10) for p, eps in ((0.975, 0.05), (0.85, 0.3), (1.0, 0.0))]
+    exact = {case: construction_failure_bounds(case[0], case[1], case[0] ** 2 // 4, 1, case[2])
+             for case in cases}
+    monkeypatch.setattr(bounds_module, "_DENSITY_EXACT_LIMIT", 8)
+    for (m, p, eps), want in exact.items():
+        f = m * m // 4
+        got = construction_failure_bounds(m, p, f, 1, eps)
+        assert not got.density_enumerated and want.density_enumerated
+        # count^2 times the largest term lies between the sum and count^2 times it
+        terms_log2 = 2 * math.log2((1 << m) - f + 1)
+        assert want.density_bound_log2 - 1e-9 <= got.density_bound_log2
+        assert got.density_bound_log2 <= want.density_bound_log2 + terms_log2 + 1e-9
+
+
+def test_density_bound_beyond_float_range():
+    # 2^m overflows a float past m = 1023; the corners are taken exactly
+    bounds = construction_failure_bounds(2000, 0.95, 2000**2, 22, 0.1)
     assert not bounds.density_enumerated
-    d2 = 2.0 * (0.95 - 1.0 + 0.01) ** 2
-    expected = 2.0 * m * (1 + f) - d2 * f**2 / math.log(2.0)
-    assert abs(bounds.density_bound_log2 - expected) <= 1e-9
+    assert -1e11 < bounds.density_bound_log2 < 0
+    assert construction_failure_bounds(2000, 1.0, 4, 22, 0.0).density_bound_log2 == math.inf
 
 
 def test_failure_bounds_linear_saturates():

@@ -19,7 +19,6 @@ from coopcap import (
     decompose_into_uniforms,
     entropy_bits,
     maximize_sum_rate,
-    output_stats,
     rate_triple,
     sample_matrix,
     sum_rate,
@@ -31,6 +30,7 @@ from coopcap import capacity
 from coopcap.capacity import _maximize_marginal
 from coopcap.channel import ERASURE
 from coopcap.errors import InvariantViolation
+from oracles import output_stats
 
 
 def make_channel(rows, g=1, verify=True):

@@ -10,7 +10,6 @@ from coopcap import (
     Channel,
     ChannelMatrix,
     ConstructionParams,
-    channel_apply,
     channel_from_matrix,
     check_block_goodness,
     construct_channel,
@@ -19,16 +18,18 @@ from coopcap import (
     default_p,
     deserialize_channel,
     estimate_bad_density,
+    first_good,
     memory_cap,
     sample_matrix,
     serialize_channel,
 )
-from coopcap.channel import DEFAULT_MAX_M, MAX_M_ENV_VAR
+from coopcap.channel import _LISTED_FAILURES, DEFAULT_MAX_M, MAX_M_ENV_VAR
 from coopcap.errors import (
     ChannelFormatError,
     ConstructionExhausted,
     MemoryCapExceeded,
 )
+from oracles import channel_apply, col_block_bits, first_good_oracle, row_block_bits
 
 
 def dense_matrix(rows):
@@ -137,6 +138,9 @@ def test_matrix_round_trip_and_accessors():
             assert np.array_equal(mat.col_bits(i + 1), dense[:, i])
             for j in range(mat.n):
                 assert mat.bit(i + 1, j + 1) == dense[i, j]
+        x1, x2 = np.indices(dense.shape) + 1
+        assert np.array_equal(mat.bit(x1, x2), dense)
+        assert np.array_equal(mat.bit(x1[:, :1], 1), dense[:, :1])
 
 
 def test_matrix_block_accessors_match_dense():
@@ -150,10 +154,10 @@ def test_matrix_block_accessors_match_dense():
                 for k in range(mat.n >> g):
                     sl = slice(k * width, (k + 1) * width)
                     assert np.array_equal(
-                        mat.row_block_bits(x, k, g), dense[x - 1, sl]
+                        row_block_bits(mat, x, k, g), dense[x - 1, sl]
                     )
                     assert np.array_equal(
-                        mat.col_block_bits(x, k, g), dense[sl, x - 1]
+                        col_block_bits(mat, x, k, g), dense[sl, x - 1]
                     )
 
 
@@ -280,14 +284,17 @@ def block_check_oracle(dense, g):
 
 
 def test_block_check_trivial_cases():
-    n = 8
-    good = ChannelMatrix.from_dense(np.zeros((n, n), dtype=np.uint8))
-    bad = ChannelMatrix.from_dense(np.ones((n, n), dtype=np.uint8))
-    for g in (1, 2, 3):
-        assert check_block_goodness(good, g).passed
-        result = check_block_goodness(bad, g)
-        assert not result.passed
-        assert len(result.failures) == 2 * n * (n >> g)
+    for n in (8, 64):
+        good = ChannelMatrix.from_dense(np.zeros((n, n), dtype=np.uint8))
+        bad = np.ones((n, n), dtype=np.uint8)
+        for g in (1, 2, 3):
+            assert check_block_goodness(good, g).passed
+            result = check_block_goodness(ChannelMatrix.from_dense(bad), g)
+            oracle = block_check_oracle(bad, g)
+            assert not result.passed
+            assert result.failure_count == len(oracle) == 2 * n * (n >> g)
+            # at n = 64, g = 1 that is 4096 failures, so only a prefix is kept
+            assert result.failures == tuple(oracle[:_LISTED_FAILURES])
 
 
 def test_block_check_pinpoints_failure():
@@ -310,7 +317,7 @@ def test_block_check_validation():
             check_block_goodness(mat, g)
 
 
-@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 3))
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_block_check_matches_oracle(m, seed, g):
     g = min(g, m)
@@ -319,8 +326,54 @@ def test_block_check_matches_oracle(m, seed, g):
     )
     result = check_block_goodness(ChannelMatrix.from_dense(dense), g)
     oracle = block_check_oracle(dense, g)
-    assert result.failures == tuple(oracle)
+    assert result.failure_count == len(oracle)
+    assert result.failures == tuple(oracle[:_LISTED_FAILURES])
     assert result.passed == (not oracle)
+
+
+# ----------------------------------------------------------------------
+# First-good table
+# ----------------------------------------------------------------------
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_first_good_matches_dense_oracle(m, g, p, seed):
+    g = min(g, m)
+    dense = (np.random.default_rng(seed).random((1 << m, 1 << m)) < p).astype(np.uint8)
+    matrix = ChannelMatrix.from_dense(dense)
+    for axis in ("row", "col"):
+        table = first_good(matrix, g, axis)
+        assert table.dtype == np.uint16
+        assert table.shape == (1 << m, 1 << (m - g))
+        assert np.array_equal(table, first_good_oracle(dense, g, axis))
+    # the block check passes exactly when neither table has a 0
+    tables = [first_good(matrix, g, axis) for axis in ("row", "col")]
+    assert check_block_goodness(matrix, g).passed == all(t.all() for t in tables)
+
+
+def test_first_good_m13_bands():
+    # n = 8192: the transpose runs in many bands, and both the whole-byte
+    # (g >= 4) and the byte-table (g <= 3) readings see many blocks per row
+    matrix = sample_matrix(13, 0.97, seed=13)
+    dense = matrix.to_dense()
+    for g in (3, 8):
+        for axis in ("row", "col"):
+            assert np.array_equal(first_good(matrix, g, axis), first_good_oracle(dense, g, axis))
+
+
+def test_first_good_validation():
+    matrix = dense_matrix([[0, 1], [1, 0]])
+    for g in (0, 2):
+        with pytest.raises(ValueError):
+            first_good(matrix, g, "row")
+    with pytest.raises(ValueError):
+        first_good(matrix, 1, "diagonal")
 
 
 # ----------------------------------------------------------------------

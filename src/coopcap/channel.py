@@ -18,6 +18,15 @@ matrix costs ``2^(2m) / 8`` bytes. A configurable cap on ``m`` (default 14,
 override with the ``COOPCAP_MAX_M`` environment variable) guards against
 accidental huge allocations.
 
+The passes over a whole matrix (sampling, the good-entry pattern, the block
+check, the transpose behind column tables and the text read) run in row
+strips of about 2^18 entries on a pool of one thread per core the process
+may use. Each strip writes its own part of the output or returns its part
+in strip order, so results are bit-identical for any strip size and thread
+count, and the transient memory is a few strips' worth on top of the
+output. A matrix of at most 2^18 entries (m <= 9) is one strip and runs on
+the calling thread.
+
 File format MACCF/1: a single ASCII header line
 
     MACCF 1 m=<int> p=<decimal> eps=<decimal> f=<int> g=<int> seed=<uint>
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,18 +80,42 @@ ERASURE: tuple[str, str] = ("E", "E")
 DEFAULT_MAX_M = 14
 MAX_M_ENV_VAR = "COOPCAP_MAX_M"
 
-# Rows unpacked at once while sampling a matrix or building its good-entry
-# pattern. The generator consumes its stream element-wise in row-major order,
-# so the chunk size does not affect the sampled bits, only peak memory.
-_SAMPLE_CHUNK_ROWS = 1 << 12
+# Matrix entries per strip of rows in the whole-matrix passes, and the
+# threads that run the strips. Every pass writes or returns its strips'
+# results in strip order, so neither value changes any output, only time and
+# transient memory (a few strips' worth).
+_STRIP_BITS = 1 << 18
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:  # macOS and Windows have no affinity mask
+    _WORKERS = os.cpu_count() or 1
 
 # Failures a BlockCheckResult lists; every failure is counted.
 _LISTED_FAILURES = 1000
 
-# Rows transposed at once, and the three shift-and-mask steps that transpose
-# an 8 x 8 bit block held in a 64-bit word (Warren, Hacker's Delight, 7-3).
+# Rows in a strip of the transpose are a multiple of this, because a strip
+# writes rows/8 contiguous bytes to every output row: at m = 14, strips of
+# 16 rows took twice as long as strips of 128. The three shift-and-mask
+# steps transpose an 8 x 8 bit block held in a 64-bit word (Warren,
+# Hacker's Delight, 7-3).
 _TRANSPOSE_ROWS = 128
 _TRANSPOSE_8X8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _strips(n: int, fn, align: int = 1) -> list:
+    """[fn(lo, hi) for every strip [lo, hi) of the rows 0..n], in strip order.
+
+    A strip holds about _STRIP_BITS entries of an n-column matrix, in a
+    multiple of align rows (the last strip may be shorter). The strips run
+    on _WORKERS threads; numpy releases the interpreter lock in the calls
+    that do the work. A single strip runs inline.
+    """
+    rows = max(align, _STRIP_BITS // n // align * align)
+    bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    if len(bounds) == 1 or _WORKERS == 1:
+        return [fn(lo, hi) for lo, hi in bounds]
+    with ThreadPoolExecutor(min(_WORKERS, len(bounds))) as pool:
+        return list(pool.map(lambda b: fn(*b), bounds))
 
 
 def memory_cap() -> int:
@@ -249,8 +283,9 @@ class ChannelMatrix:
     @cached_property
     def good(self) -> sparse.csr_array:
         """Good-entry indicator: a read-only float64 CSR array, 1.0 where the
-        bit is 0. Built strip by strip into preallocated arrays, so the
-        transient memory is one strip's worth, not the whole matrix's."""
+        bit is 0. The row counts fix indptr first, so each strip of rows
+        (see _strips) writes its own slice of indices on its own thread;
+        the transient memory is a few strips' worth, not the matrix's."""
         n = self.n
         counts = n - np.bitwise_count(self.packed_rows).sum(axis=1, dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -259,12 +294,16 @@ class ChannelMatrix:
         index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
         indptr = indptr.astype(index_dtype)
         indices = np.empty(nnz, dtype=index_dtype)
-        for lo in range(0, n, _SAMPLE_CHUNK_ROWS):
-            hi = min(lo + _SAMPLE_CHUNK_ROWS, n)
-            # padding bits of the inverted bytes are ones; count=n drops them
-            flat = np.flatnonzero(np.unpackbits(~self.packed_rows[lo:hi], axis=1, count=n))
+
+        def strip(lo, hi):
+            # padding bits of the inverted bytes are ones; count=n drops them.
+            # nonzero scans a bool array much faster than a uint8 one.
+            good = np.unpackbits(~self.packed_rows[lo:hi], axis=1, count=n).view(bool)
+            flat = np.flatnonzero(good)
             flat &= n - 1  # flat position -> column, since n is a power of two
             indices[indptr[lo] : indptr[hi]] = flat
+
+        _strips(n, strip)
         data = np.ones(nnz)
         for arr in (data, indices, indptr):
             arr.flags.writeable = False
@@ -351,7 +390,10 @@ class Channel:
 def sample_matrix(m: int, p: float, seed: int) -> ChannelMatrix:
     """Draw a 2^m x 2^m matrix with i.i.d. Bernoulli(p) bad entries.
 
-    Deterministic in (m, p, seed); the generator is numpy's default PCG64.
+    Entry (i, j) is bad when draw i * 2^m + j of numpy's default_rng(seed)
+    stream, read row-major, is below p, whatever the strip size and thread
+    count: each strip of rows starts its own PCG64 at its offset in that
+    stream with PCG64.advance (a jump in O(log n) steps).
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
@@ -359,13 +401,13 @@ def sample_matrix(m: int, p: float, seed: int) -> ChannelMatrix:
         raise ValueError(f"p must be in [0, 1], got {p}")
     _require_within_cap(m)
     n = 1 << m
-    rng = np.random.default_rng(seed)
-    row_bytes = (n + 7) // 8
-    packed = np.empty((n, row_bytes), dtype=np.uint8)
-    for lo in range(0, n, _SAMPLE_CHUNK_ROWS):
-        hi = min(lo + _SAMPLE_CHUNK_ROWS, n)
-        block = rng.random((hi - lo, n)) < p
-        packed[lo:hi] = np.packbits(block, axis=1)
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+
+    def strip(lo, hi):
+        rng = np.random.Generator(np.random.PCG64(seed).advance(lo * n))
+        packed[lo:hi] = np.packbits(rng.random((hi - lo, n)) < p, axis=1)
+
+    _strips(n, strip)
     return ChannelMatrix(m=m, packed_rows=packed)
 
 
@@ -376,23 +418,26 @@ def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
         raise ValueError(f"g must be in [1, m={m}], got {g}")
     width = 1 << g
     nblocks = n >> g
-    rows: list[tuple[str, int, int]] = []
-    cols: list[tuple[str, int, int]] = []
-    count = 0
-    # Band k holds rows k*2^g.. and is column block k, so one unpack of it
-    # serves the row blocks of its rows and block k of every column.
-    for k in range(nblocks):
-        band = np.unpackbits(
-            matrix.packed_rows[k * width : (k + 1) * width], axis=1, count=n
-        )
-        xs, ks = np.nonzero(band.reshape(width, nblocks, width).all(axis=2))
-        cs = np.nonzero(band.all(axis=0))[0]
-        count += len(xs) + len(cs)
-        room = _LISTED_FAILURES - len(rows)
-        rows.extend(("row", k * width + int(x) + 1, int(b)) for x, b in zip(xs[:room], ks[:room]))
-        cols.extend(("col", int(x) + 1, k) for x in cs[: _LISTED_FAILURES - len(cols)])
-    failures = (rows + cols)[:_LISTED_FAILURES]
-    return BlockCheckResult(passed=count == 0, failures=tuple(failures), failure_count=count)
+
+    # Band k holds rows k*2^g.. and is column block k, so one unpack of a
+    # strip of whole bands serves the row blocks of its rows and the blocks
+    # of every column it holds.
+    def strip(lo, hi):
+        band = np.unpackbits(matrix.packed_rows[lo:hi], axis=1, count=n).view(bool)
+        xs, ks = np.nonzero(band.reshape(hi - lo, nblocks, width).all(axis=2))
+        bs, cs = np.nonzero(band.reshape((hi - lo) >> g, width, n).all(axis=1))
+        keep = _LISTED_FAILURES
+        listed = lo + 1 + xs[:keep], ks[:keep], 1 + cs[:keep], (lo >> g) + bs[:keep]
+        return len(xs) + len(cs), *listed
+
+    counts, *listed = zip(*_strips(n, strip, align=width))
+    rx, rk, cx, cb = (np.concatenate(parts)[:_LISTED_FAILURES] for parts in listed)
+    failures = [("row", int(x), int(k)) for x, k in zip(rx, rk)]
+    failures += [("col", int(x), int(b)) for x, b in zip(cx, cb)]
+    count = sum(counts)
+    return BlockCheckResult(
+        passed=count == 0, failures=tuple(failures[:_LISTED_FAILURES]), failure_count=count
+    )
 
 
 def _first_zero_table(bits: int) -> np.ndarray:
@@ -408,24 +453,27 @@ _FIRST_ZERO = {bits: _first_zero_table(bits) for bits in (2, 4, 8)}
 
 def _transposed_rows(matrix: ChannelMatrix) -> np.ndarray:
     """packed_rows of the transposed matrix. Each 8 x 8 block of bits moves
-    as one 64-bit word and is transposed inside it, a band of rows at a time."""
+    as one 64-bit word and is transposed inside it; each strip of rows
+    writes its own byte columns of the result."""
     n, packed = matrix.n, matrix.packed_rows
     if n < 8:
         return np.packbits(matrix.to_dense().T, axis=1)
     nb = n // 8
     out = np.empty_like(packed)
     out_blocks = out.reshape(nb, 8, nb)  # [byte column, row in block, row group]
-    for lo in range(0, n, _TRANSPOSE_ROWS):
-        band = packed[lo : lo + _TRANSPOSE_ROWS]
-        groups = len(band) // 8
+
+    def strip(lo, hi):
+        groups = (hi - lo) // 8
         # word [i, j] holds rows 8i..8i+7 of byte column j, the first in its top byte
-        words = band.reshape(groups, 8, nb).transpose(0, 2, 1)
+        words = packed[lo:hi].reshape(groups, 8, nb).transpose(0, 2, 1)
         x = np.ascontiguousarray(words).view(">u8")[..., 0].astype(np.uint64)
         for shift, mask in _TRANSPOSE_8X8:
             t = (x ^ (x >> shift)) & mask
             x ^= t ^ (t << shift)
         blocks = x.astype(">u8").view(np.uint8).reshape(groups, nb, 8)
-        out_blocks[:, :, lo // 8 : lo // 8 + groups] = blocks.transpose(1, 2, 0)
+        out_blocks[:, :, lo // 8 : hi // 8] = blocks.transpose(1, 2, 0)
+
+    _strips(n, strip, align=_TRANSPOSE_ROWS)
     return out
 
 
@@ -692,24 +740,36 @@ def deserialize_channel(path, *, verify: bool = True) -> Channel:
             packed = np.packbits(np.unpackbits(body, count=n * n).reshape(n, n), axis=1)
         matrix = ChannelMatrix(m=params.m, packed_rows=packed)
     elif len(body) in (n * (n + 1), n * (n + 1) - 1):
-        if len(body) < n * (n + 1):  # the last row's newline is optional
-            body = np.concatenate([body, np.array([ord("\n")], dtype=np.uint8)])
-        grid = body.reshape(n, n + 1)
-        bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
-        bad_chars = bits.max(axis=1) > 1
-        bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))
-        if bad.size:  # report the first bad byte in file order
+        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+
+        def strip(lo, hi):
+            """Pack rows [lo, hi), or the error for their first bad byte."""
+            grid = body[lo * (n + 1) : hi * (n + 1)]
+            if len(grid) < (hi - lo) * (n + 1):  # the last row's newline is optional
+                grid = np.append(grid, np.uint8(ord("\n")))
+            grid = grid.reshape(hi - lo, n + 1)
+            bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
+            bad_chars = bits.max(axis=1) > 1
+            bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))
+            if not bad.size:
+                packed[lo:hi] = np.packbits(bits, axis=1)
+                return None
             i = int(bad[0])
+            start = body_start + (lo + i) * (n + 1)
             if bad_chars[i]:
-                raise ChannelFormatError(
-                    f"row {i + 1} is not {n} characters of 0/1",
-                    offset=body_start + i * (n + 1) + int(np.argmax(bits[i] > 1)),
+                return ChannelFormatError(
+                    f"row {lo + i + 1} is not {n} characters of 0/1",
+                    offset=start + int(np.argmax(bits[i] > 1)),
                 )
-            raise ChannelFormatError(
-                f"row {i + 1} not terminated by newline",
-                offset=body_start + i * (n + 1) + n,
+            return ChannelFormatError(
+                f"row {lo + i + 1} not terminated by newline", offset=start + n
             )
-        matrix = ChannelMatrix(m=params.m, packed_rows=np.packbits(bits, axis=1))
+
+        # the earliest strip with a bad row holds the first bad byte in file order
+        errors = [error for error in _strips(n, strip) if error is not None]
+        if errors:
+            raise errors[0]
+        matrix = ChannelMatrix(m=params.m, packed_rows=packed)
     else:
         raise ChannelFormatError(
             f"body has {len(body)} bytes; expected {packed_size} (binary) or "

@@ -12,8 +12,11 @@ judge the estimate.
 Persistence: channels under channels/ (binary), records.jsonl started
 fresh by each run and one JSON line appended per record as soon as the row
 finishes (crash-safe), the full table rewritten to records.csv at the end,
-polygon vertex files under regions/, and a gap-vs-m series for plotting. A row that fails is
-recorded with its error message and the sweep continues.
+polygon vertex files under regions/, and a gap-vs-m series for plotting.
+The tables and polygon files are written to a temp file in their folder and
+renamed over the old one, so a crash leaves the old file or the new one,
+never half of one. A row that fails is recorded with its error message and
+the sweep continues.
 
 Sweeps are reproducible: per-row seeds are derived from the config seed
 and m only, so identical configs give identical records except wall_time.
@@ -21,8 +24,10 @@ and m only, so identical configs give identical records except wall_time.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -289,9 +294,23 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file to write in place of path: a temp file in path's folder,
+    renamed over path when the block ends and deleted if it raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def export_csv(records, path) -> None:
     """Flat table, exactly the CSV_COLUMNS columns (no wall times)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for record in records:
@@ -324,12 +343,12 @@ def plot_data(records, out_dir) -> list[Path]:
             ("cf_outer", cf_outer_region(record.m, record.delta)),
         ):
             path = regions / f"{name}_m{record.m}.poly"
-            with open(path, "w", encoding="utf-8") as fh:
+            with _replacing(path) as fh:
                 for x, y in region.vertices:
                     fh.write(f"{x!r} {y!r}\n")
             written.append(path)
     series = out / "gap_vs_m.csv"
-    with open(series, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(series) as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "gap", "gap_lower", "gap_upper"])
         for record in records:

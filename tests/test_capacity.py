@@ -374,7 +374,7 @@ def test_good_pattern_products_match_dense(m, seed, kind):
 
 
 def test_sum_rate_uniform_m13():
-    # n = 8192 is the smallest size whose good pattern is built in two strips
+    # n = 8192: the good pattern is built in 256 strips of 32 rows on the worker threads
     m = 13
     matrix = sample_matrix(m, 0.85, 13)
     channel = channel_from_matrix(matrix, g=1, verify=False)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from coopcap import (
     sample_matrix,
     serialize_channel,
 )
+import coopcap.channel as chmod
 from coopcap.channel import _LISTED_FAILURES, DEFAULT_MAX_M, MAX_M_ENV_VAR
 from coopcap.errors import (
     ChannelFormatError,
@@ -30,6 +32,18 @@ from coopcap.errors import (
     MemoryCapExceeded,
 )
 from oracles import channel_apply, col_block_bits, first_good_oracle, row_block_bits
+
+
+@contextlib.contextmanager
+def many_strips(strip_bits=100, workers=3):
+    """Run the whole-matrix passes in small strips on a few threads; None
+    keeps the default strip size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if strip_bits is not None:
+            mp.setattr(chmod, "_STRIP_BITS", strip_bits)
+            mp.setattr(chmod, "_TRANSPOSE_ROWS", 8)
+        mp.setattr(chmod, "_WORKERS", workers)
+        yield
 
 
 def dense_matrix(rows):
@@ -229,13 +243,19 @@ def test_sample_matrix_density_near_p():
     assert abs(frac - 0.3) < 0.03
 
 
-def test_sample_matrix_chunk_size_does_not_change_stream(monkeypatch):
-    import coopcap.channel as chmod
-
-    whole = sample_matrix(4, 0.4, seed=9)
-    monkeypatch.setattr(chmod, "_SAMPLE_CHUNK_ROWS", 3)
-    chunked = sample_matrix(4, 0.4, seed=9)
-    assert whole == chunked
+def test_sample_matrix_chunk_size_does_not_change_stream():
+    # the oracle is one generator drawing the whole matrix row-major; the
+    # sampler's strips must reproduce it whatever their size and threads
+    for m in range(1, 10):
+        n = 1 << m
+        for p in (0.0, 0.3, 0.85, 1.0):
+            seed = 1000 * m + int(100 * p)
+            oracle = np.packbits(np.random.default_rng(seed).random((n, n)) < p, axis=1)
+            # one strip, strips of 3 rows (not dividing n), strips of one row
+            for strip_bits, workers in ((None, 1), (3 * n, 3), (1, 3), (3 * n, 1)):
+                with many_strips(strip_bits, workers):
+                    packed = sample_matrix(m, p, seed).packed_rows
+                assert np.array_equal(packed, oracle), (m, p, strip_bits, workers)
 
 
 def test_sample_matrix_validation():
@@ -284,17 +304,21 @@ def block_check_oracle(dense, g):
 
 
 def test_block_check_trivial_cases():
-    for n in (8, 64):
-        good = ChannelMatrix.from_dense(np.zeros((n, n), dtype=np.uint8))
-        bad = np.ones((n, n), dtype=np.uint8)
-        for g in (1, 2, 3):
-            assert check_block_goodness(good, g).passed
-            result = check_block_goodness(ChannelMatrix.from_dense(bad), g)
-            oracle = block_check_oracle(bad, g)
-            assert not result.passed
-            assert result.failure_count == len(oracle) == 2 * n * (n >> g)
-            # at n = 64, g = 1 that is 4096 failures, so only a prefix is kept
-            assert result.failures == tuple(oracle[:_LISTED_FAILURES])
+    # with the default strips and with many strips, each listing its own
+    # failures before the merge cuts the list
+    for strip_bits in (None, 100):
+        for n in (8, 64):
+            good = ChannelMatrix.from_dense(np.zeros((n, n), dtype=np.uint8))
+            bad = np.ones((n, n), dtype=np.uint8)
+            for g in (1, 2, 3):
+                with many_strips(strip_bits):
+                    assert check_block_goodness(good, g).passed
+                    result = check_block_goodness(ChannelMatrix.from_dense(bad), g)
+                oracle = block_check_oracle(bad, g)
+                assert not result.passed
+                assert result.failure_count == len(oracle) == 2 * n * (n >> g)
+                # at n = 64, g = 1 that is 4096 failures, so only a prefix is kept
+                assert result.failures == tuple(oracle[:_LISTED_FAILURES])
 
 
 def test_block_check_pinpoints_failure():
@@ -355,6 +379,34 @@ def test_first_good_matches_dense_oracle(m, g, p, seed):
     # the block check passes exactly when neither table has a 0
     tables = [first_good(matrix, g, axis) for axis in ("row", "col")]
     assert check_block_goodness(matrix, g).passed == all(t.all() for t in tables)
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 100, 1000]),
+)
+@settings(max_examples=60, deadline=None)
+def test_strip_passes_match_oracles(m, g, p, seed, strip_bits):
+    # every whole-matrix pass, split into many strips on three threads
+    g = min(g, m)
+    n = 1 << m
+    dense = (np.random.default_rng(seed).random((n, n)) < p).astype(np.uint8)
+    with many_strips(strip_bits):
+        matrix = ChannelMatrix.from_dense(dense)
+        good = matrix.good
+        result = check_block_goodness(matrix, g)
+        tables = {axis: first_good(matrix, g, axis) for axis in ("row", "col")}
+    rows, cols = np.nonzero(dense == 0)
+    assert np.array_equal(good.indptr, np.r_[0, np.cumsum((dense == 0).sum(axis=1))])
+    assert np.array_equal(good.indices, cols) and len(good.data) == len(rows)
+    oracle = block_check_oracle(dense, g)
+    assert result.failure_count == len(oracle)
+    assert result.failures == tuple(oracle[:_LISTED_FAILURES])
+    for axis, table in tables.items():
+        assert np.array_equal(table, first_good_oracle(dense, g, axis))
 
 
 def test_first_good_m13_bands():
@@ -622,9 +674,11 @@ def text_body_error_oracle(body: bytes, n: int, body_start: int):
         min_size=1,
         max_size=3,
     ),
+    # the body is read in one strip, in strips of 3 rows or in single rows
+    st.sampled_from([None, 12, 1]),
 )
 @settings(max_examples=200, deadline=None)
-def test_text_body_errors_match_oracle(m, seed, final_newline, corruptions):
+def test_text_body_errors_match_oracle(m, seed, final_newline, corruptions, strip_bits):
     import tempfile
 
     n = 1 << m
@@ -644,10 +698,11 @@ def test_text_body_errors_match_oracle(m, seed, final_newline, corruptions):
             fh.write(header + body)
         if expected is None:
             rows = [list(row) for row in bytes(body).split(b"\n")[:n]]
-            loaded = deserialize_channel(path, verify=False).matrix.to_dense()
+            with many_strips(strip_bits):
+                loaded = deserialize_channel(path, verify=False).matrix.to_dense()
             assert np.array_equal(loaded, np.array(rows) - ord("0"))
             return
-        with pytest.raises(ChannelFormatError) as err:
+        with many_strips(strip_bits), pytest.raises(ChannelFormatError) as err:
             deserialize_channel(path, verify=False)
     assert str(err.value) == str(expected)
     assert err.value.offset == expected.offset

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from dataclasses import asdict
@@ -9,6 +10,7 @@ from coopcap import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentRecord,
+    cf_inner_region,
     default_f,
     default_g,
     default_p,
@@ -16,6 +18,7 @@ from coopcap import (
     load_jsonl,
     run_sweep,
 )
+from coopcap.experiments import export_csv
 
 
 def tiny_config(tmp_path, **overrides):
@@ -178,6 +181,29 @@ def test_sweep_rerun_replaces_records(tmp_path):
     assert len((out / "records.jsonl").read_text().splitlines()) == 2
     with open(out / "records.csv") as fh:
         assert len(list(csv.reader(fh))) == 3  # header and 2 rows
+
+
+def test_sweep_tables_replaced_whole(tmp_path):
+    records = run_sweep(tiny_config(tmp_path))
+    out = tmp_path / "out"
+    assert not [path for path in out.rglob("*") if path.name.endswith(".tmp")]
+    assert sorted(path.name for path in out.iterdir()) == [
+        "channels", "gap_vs_m.csv", "records.csv", "records.jsonl", "regions"
+    ]
+    # the files hold what a plain write of the same rows holds
+    table = io.StringIO(newline="")
+    writer = csv.writer(table)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([asdict(r)[c] for c in CSV_COLUMNS] for r in records)
+    csv_path = out / "records.csv"
+    assert csv_path.read_bytes() == table.getvalue().encode()
+    vertices = "".join(f"{x!r} {y!r}\n" for x, y in cf_inner_region(3, 2).vertices)
+    assert (out / "regions" / "cf_inner_m3.poly").read_text() == vertices
+    # a write that fails half way leaves the old table and no temp file
+    with pytest.raises(TypeError):
+        export_csv([*records, object()], csv_path)
+    assert csv_path.read_bytes() == table.getvalue().encode()
+    assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
 
 
 def test_sweep_records_optimizer_certificate(tmp_path):

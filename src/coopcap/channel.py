@@ -411,35 +411,6 @@ def sample_matrix(m: int, p: float, seed: int) -> ChannelMatrix:
     return ChannelMatrix(m=m, packed_rows=packed)
 
 
-def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
-    """Exhaustively check every aligned row and column block for a good entry."""
-    m, n = matrix.m, matrix.n
-    if not 1 <= g <= m:
-        raise ValueError(f"g must be in [1, m={m}], got {g}")
-    width = 1 << g
-    nblocks = n >> g
-
-    # Band k holds rows k*2^g.. and is column block k, so one unpack of a
-    # strip of whole bands serves the row blocks of its rows and the blocks
-    # of every column it holds.
-    def strip(lo, hi):
-        band = np.unpackbits(matrix.packed_rows[lo:hi], axis=1, count=n).view(bool)
-        xs, ks = np.nonzero(band.reshape(hi - lo, nblocks, width).all(axis=2))
-        bs, cs = np.nonzero(band.reshape((hi - lo) >> g, width, n).all(axis=1))
-        keep = _LISTED_FAILURES
-        listed = lo + 1 + xs[:keep], ks[:keep], 1 + cs[:keep], (lo >> g) + bs[:keep]
-        return len(xs) + len(cs), *listed
-
-    counts, *listed = zip(*_strips(n, strip, align=width))
-    rx, rk, cx, cb = (np.concatenate(parts)[:_LISTED_FAILURES] for parts in listed)
-    failures = [("row", int(x), int(k)) for x, k in zip(rx, rk)]
-    failures += [("col", int(x), int(b)) for x, b in zip(cx, cb)]
-    count = sum(counts)
-    return BlockCheckResult(
-        passed=count == 0, failures=tuple(failures[:_LISTED_FAILURES]), failure_count=count
-    )
-
-
 def _first_zero_table(bits: int) -> np.ndarray:
     """[byte, i]: 1-based offset of the first 0 bit in the i-th run of
     `bits` bits of byte (big-endian), 0 when the run is all ones."""
@@ -449,6 +420,57 @@ def _first_zero_table(bits: int) -> np.ndarray:
 
 
 _FIRST_ZERO = {bits: _first_zero_table(bits) for bits in (2, 4, 8)}
+
+
+def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
+    """Exhaustively check every aligned row and column block for a good entry.
+
+    Both passes read the packed bytes: a row strip compares whole-byte
+    blocks with 0xFF or looks sub-byte blocks up in _FIRST_ZERO, and a
+    column strip of whole bands ANDs each band's rows into one packed row.
+    Each strip keeps at most _LISTED_FAILURES failure positions until the
+    strips are merged (8 MB in 1024 strips at m = 14).
+    """
+    m, n = matrix.m, matrix.n
+    if not 1 <= g <= m:
+        raise ValueError(f"g must be in [1, m={m}], got {g}")
+    width = 1 << g
+    nblocks = n >> g
+    packed = matrix.packed_rows
+    keep = _LISTED_FAILURES
+
+    def listed(bad, offset):
+        """A strip's failure count and the flat positions of its first
+        `keep` failures in the whole table, a fresh array: a view of the
+        full nonzero result would keep it alive until the merge."""
+        flat = np.flatnonzero(bad)
+        return flat.size, flat[:keep] + offset
+
+    def row_strip(lo, hi):
+        rows = packed[lo:hi]
+        if g >= 3:  # a block is whole bytes, all bad when every byte is 0xFF
+            bad = (rows.reshape(hi - lo, nblocks, width >> 3) == 0xFF).all(axis=2)
+        else:  # _FIRST_ZERO gives 0 for an all-bad sub-byte block
+            bad = _FIRST_ZERO[width][rows].reshape(hi - lo, -1)[:, :nblocks] == 0
+        return listed(bad, lo * nblocks)  # row x, block k at x * nblocks + k
+
+    def col_strip(lo, hi):
+        # band b (rows b*2^g..) fails in column c when every row has bit c set
+        bands = np.bitwise_and.reduce(packed[lo:hi].reshape(-1, width, packed.shape[1]), axis=1)
+        return listed(np.unpackbits(bands, axis=1, count=n), (lo >> g) * n)
+
+    def merged(parts, line):
+        counts, flats = zip(*parts)
+        return sum(counts), zip(*np.divmod(np.concatenate(flats)[:keep], line))
+
+    row_count, rows = merged(_strips(n, row_strip), nblocks)
+    col_count, cols = merged(_strips(n, col_strip, align=width), n)
+    failures = [("row", int(x) + 1, int(k)) for x, k in rows]
+    failures += [("col", int(c) + 1, int(b)) for b, c in cols]
+    count = row_count + col_count
+    return BlockCheckResult(
+        passed=count == 0, failures=tuple(failures[:keep]), failure_count=count
+    )
 
 
 def _transposed_rows(matrix: ChannelMatrix) -> np.ndarray:
@@ -743,7 +765,7 @@ def deserialize_channel(path, *, verify: bool = True) -> Channel:
         packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
 
         def strip(lo, hi):
-            """Pack rows [lo, hi), or the error for their first bad byte."""
+            """Pack rows [lo, hi), or raise the error for their first bad byte."""
             grid = body[lo * (n + 1) : hi * (n + 1)]
             if len(grid) < (hi - lo) * (n + 1):  # the last row's newline is optional
                 grid = np.append(grid, np.uint8(ord("\n")))
@@ -751,24 +773,21 @@ def deserialize_channel(path, *, verify: bool = True) -> Channel:
             bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
             bad_chars = bits.max(axis=1) > 1
             bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))
-            if not bad.size:
-                packed[lo:hi] = np.packbits(bits, axis=1)
-                return None
-            i = int(bad[0])
-            start = body_start + (lo + i) * (n + 1)
-            if bad_chars[i]:
-                return ChannelFormatError(
-                    f"row {lo + i + 1} is not {n} characters of 0/1",
-                    offset=start + int(np.argmax(bits[i] > 1)),
+            if bad.size:
+                i = int(bad[0])
+                start = body_start + (lo + i) * (n + 1)
+                if bad_chars[i]:
+                    raise ChannelFormatError(
+                        f"row {lo + i + 1} is not {n} characters of 0/1",
+                        offset=start + int(np.argmax(bits[i] > 1)),
+                    )
+                raise ChannelFormatError(
+                    f"row {lo + i + 1} not terminated by newline", offset=start + n
                 )
-            return ChannelFormatError(
-                f"row {lo + i + 1} not terminated by newline", offset=start + n
-            )
+            packed[lo:hi] = np.packbits(bits, axis=1)
 
-        # the earliest strip with a bad row holds the first bad byte in file order
-        errors = [error for error in _strips(n, strip) if error is not None]
-        if errors:
-            raise errors[0]
+        # strips raise in strip order, so the first bad byte in file order wins
+        _strips(n, strip)
         matrix = ChannelMatrix(m=params.m, packed_rows=packed)
     else:
         raise ChannelFormatError(

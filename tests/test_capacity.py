@@ -31,6 +31,7 @@ from coopcap.capacity import _maximize_marginal
 from coopcap.channel import ERASURE
 from coopcap.errors import InvariantViolation
 from oracles import output_stats
+from strips import STRIP_BITS, many_strips
 
 
 def make_channel(rows, g=1, verify=True):
@@ -354,15 +355,24 @@ def test_operator_cache_drops_collected_channels():
     assert all(ref() is None for ref in refs)
 
 
-@given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.sampled_from(["random", "good", "bad"]))
-@settings(max_examples=40, deadline=None)
-def test_good_pattern_products_match_dense(m, seed, kind):
+@given(
+    st.integers(1, 7),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["random", "good", "bad"]),
+    st.sampled_from(STRIP_BITS),
+)
+@settings(max_examples=60, deadline=None)
+def test_good_pattern_products_match_dense(m, seed, kind, strip_bits):
     rng = np.random.default_rng(seed)
     if kind == "random":
         channel = random_channel(m, seed, density=rng.uniform(0.05, 0.95))
     else:
         channel = all_good_channel(m) if kind == "good" else all_bad_channel(m)
-    good = channel.matrix.good
+    with many_strips(strip_bits):
+        good = channel.matrix.good
+    dense_good = channel.matrix.to_dense() == 0
+    assert np.array_equal(good.indptr, np.r_[0, np.cumsum(dense_good.sum(axis=1))])
+    assert np.array_equal(good.indices, np.nonzero(dense_good)[1])
     assert good is channel.matrix.good
     assert good.indices.dtype == good.indptr.dtype == np.int32
     assert good.dtype == np.float64 and not good.data.flags.writeable

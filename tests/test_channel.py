@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -32,18 +31,7 @@ from coopcap.errors import (
     MemoryCapExceeded,
 )
 from oracles import channel_apply, col_block_bits, first_good_oracle, row_block_bits
-
-
-@contextlib.contextmanager
-def many_strips(strip_bits=100, workers=3):
-    """Run the whole-matrix passes in small strips on a few threads; None
-    keeps the default strip size."""
-    with pytest.MonkeyPatch.context() as mp:
-        if strip_bits is not None:
-            mp.setattr(chmod, "_STRIP_BITS", strip_bits)
-            mp.setattr(chmod, "_TRANSPOSE_ROWS", 8)
-        mp.setattr(chmod, "_WORKERS", workers)
-        yield
+from strips import STRIP_BITS, many_strips
 
 
 def dense_matrix(rows):
@@ -321,6 +309,30 @@ def test_block_check_trivial_cases():
                 assert result.failures == tuple(oracle[:_LISTED_FAILURES])
 
 
+def test_block_check_strips_hold_only_their_listed_failures(monkeypatch):
+    # each strip's result must own its few positions: a view of the strip's
+    # whole nonzero result would keep that alive until the merge
+    kept = []
+    strips = chmod._strips
+
+    def recording(n, fn, align=1):
+        results = strips(n, fn, align)
+        kept.extend(results)
+        return results
+
+    monkeypatch.setattr(chmod, "_strips", recording)
+    monkeypatch.setattr(chmod, "_LISTED_FAILURES", 10)
+    bad = np.ones((128, 128), dtype=np.uint8)
+    for strip_bits in (None, 1000):
+        with many_strips(strip_bits):
+            result = check_block_goodness(ChannelMatrix.from_dense(bad), 1)
+        assert result.failure_count == 2 * 128 * 64
+        assert result.failures == tuple(block_check_oracle(bad, 1)[:10])
+    assert len(kept) > 40
+    for count, positions in kept:
+        assert count > 10 and len(positions) == 10 and positions.base is None
+
+
 def test_block_check_pinpoints_failure():
     dense = np.zeros((4, 4), dtype=np.uint8)
     dense[1, 2:4] = 1
@@ -341,14 +353,19 @@ def test_block_check_validation():
             check_block_goodness(mat, g)
 
 
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_block_check_matches_oracle(m, seed, g):
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.7, 0.9, 1.0]),
+    st.sampled_from(STRIP_BITS),
+)
+@settings(max_examples=80, deadline=None)
+def test_block_check_matches_oracle(m, seed, g, p, strip_bits):
     g = min(g, m)
-    dense = (np.random.default_rng(seed).random((1 << m, 1 << m)) < 0.7).astype(
-        np.uint8
-    )
-    result = check_block_goodness(ChannelMatrix.from_dense(dense), g)
+    dense = (np.random.default_rng(seed).random((1 << m, 1 << m)) < p).astype(np.uint8)
+    with many_strips(strip_bits):
+        result = check_block_goodness(ChannelMatrix.from_dense(dense), g)
     oracle = block_check_oracle(dense, g)
     assert result.failure_count == len(oracle)
     assert result.failures == tuple(oracle[:_LISTED_FAILURES])
@@ -361,52 +378,26 @@ def test_block_check_matches_oracle(m, seed, g):
 
 
 @given(
-    st.integers(1, 5),
-    st.integers(1, 5),
+    st.integers(1, 7),
+    st.integers(1, 7),
     st.sampled_from([0.0, 0.5, 0.9, 1.0]),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(STRIP_BITS),
 )
 @settings(max_examples=80, deadline=None)
-def test_first_good_matches_dense_oracle(m, g, p, seed):
+def test_first_good_matches_dense_oracle(m, g, p, seed, strip_bits):
     g = min(g, m)
     dense = (np.random.default_rng(seed).random((1 << m, 1 << m)) < p).astype(np.uint8)
     matrix = ChannelMatrix.from_dense(dense)
-    for axis in ("row", "col"):
-        table = first_good(matrix, g, axis)
+    with many_strips(strip_bits):
+        tables = [first_good(matrix, g, axis) for axis in ("row", "col")]
+        passed = check_block_goodness(matrix, g).passed
+    for axis, table in zip(("row", "col"), tables):
         assert table.dtype == np.uint16
         assert table.shape == (1 << m, 1 << (m - g))
         assert np.array_equal(table, first_good_oracle(dense, g, axis))
     # the block check passes exactly when neither table has a 0
-    tables = [first_good(matrix, g, axis) for axis in ("row", "col")]
-    assert check_block_goodness(matrix, g).passed == all(t.all() for t in tables)
-
-
-@given(
-    st.integers(1, 7),
-    st.integers(1, 7),
-    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 100, 1000]),
-)
-@settings(max_examples=60, deadline=None)
-def test_strip_passes_match_oracles(m, g, p, seed, strip_bits):
-    # every whole-matrix pass, split into many strips on three threads
-    g = min(g, m)
-    n = 1 << m
-    dense = (np.random.default_rng(seed).random((n, n)) < p).astype(np.uint8)
-    with many_strips(strip_bits):
-        matrix = ChannelMatrix.from_dense(dense)
-        good = matrix.good
-        result = check_block_goodness(matrix, g)
-        tables = {axis: first_good(matrix, g, axis) for axis in ("row", "col")}
-    rows, cols = np.nonzero(dense == 0)
-    assert np.array_equal(good.indptr, np.r_[0, np.cumsum((dense == 0).sum(axis=1))])
-    assert np.array_equal(good.indices, cols) and len(good.data) == len(rows)
-    oracle = block_check_oracle(dense, g)
-    assert result.failure_count == len(oracle)
-    assert result.failures == tuple(oracle[:_LISTED_FAILURES])
-    for axis, table in tables.items():
-        assert np.array_equal(table, first_good_oracle(dense, g, axis))
+    assert passed == all(t.all() for t in tables)
 
 
 def test_first_good_m13_bands():

@@ -448,38 +448,50 @@ def brute_force_sum_capacity(channel: Channel, grid_steps: int) -> BruteForceRes
 class UniformDecomposition:
     """A pmf written as a convex combination of nested uniform pmfs.
 
-    supports is strictly decreasing (each a frozenset of 1-based symbols);
-    weights[j] is the mass carried by the uniform pmf on supports[j].
+    order lists the 1-based symbols by descending mass. Layer j is the
+    uniform pmf on the first sizes[j] symbols of order, and weights[j] is
+    the mass it carries; sizes strictly decrease, so the supports nest.
     """
 
     alphabet_size: int
     weights: tuple[float, ...]
-    supports: tuple[frozenset, ...]
+    order: tuple[int, ...]
+    sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.supports) or not self.weights:
-            raise ValueError("weights and supports must be equal-length and nonempty")
-        for earlier, later in zip(self.supports, self.supports[1:]):
-            if not (later < earlier):
-                raise ValueError("supports must be strictly nested, widest first")
+        n, sizes = self.alphabet_size, self.sizes
+        if len(self.weights) != len(sizes) or not self.weights:
+            raise ValueError("weights and sizes must be equal-length and nonempty")
+        if sorted(self.order) != list(range(1, n + 1)):
+            raise ValueError(f"order must be a permutation of 1..{n}")
+        if sizes[0] > n or sizes[-1] < 1 or any(a <= b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"sizes must strictly decrease within [1, {n}]")
         if min(self.weights) <= 0:
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
+    @property
+    def supports(self) -> tuple[frozenset, ...]:
+        """Each layer's support as a frozenset of 1-based symbols, widest first."""
+        return tuple(frozenset(self.order[:size]) for size in self.sizes)
+
     def reconstruct(self) -> np.ndarray:
         """The pmf sum_j weights[j] * Uniform(supports[j]), accumulated in
         layer order for every symbol."""
-        sizes = [len(s) for s in self.supports]
-        symbols = np.fromiter(
-            itertools.chain.from_iterable(self.supports), dtype=np.intp, count=sum(sizes)
+        sizes = np.array(self.sizes)
+        # level[j]: the mass of a symbol in layers 0..j, i.e. of the symbols
+        # at positions sizes[j+1] .. sizes[j]-1 of order.
+        level = np.cumsum(np.divide(self.weights, sizes))
+        pmf = np.zeros(self.alphabet_size)
+        pmf[np.array(self.order[: sizes[0]]) - 1] = np.repeat(
+            level[::-1], np.diff(sizes[::-1], prepend=0)
         )
-        shares = np.repeat(np.divide(self.weights, sizes), sizes)
-        return np.bincount(symbols - 1, weights=shares, minlength=self.alphabet_size)
+        return pmf
 
     def mass_on_supports_at_most(self, size_limit: float) -> float:
         """Total weight of layers whose support has at most size_limit symbols."""
-        return sum(w for w, s in zip(self.weights, self.supports) if len(s) <= size_limit)
+        return sum(w for w, size in zip(self.weights, self.sizes) if size <= size_limit)
 
 
 def decompose_into_uniforms(p) -> UniformDecomposition:
@@ -495,13 +507,14 @@ def decompose_into_uniforms(p) -> UniformDecomposition:
     values = np.unique(arr[arr > 0])
     sizes = arr.size - np.searchsorted(arr[ascending], values, side="left")
     weights = (sizes * np.diff(values, prepend=0.0)).tolist()
-    descending = (ascending[::-1] + 1).tolist()
-    supports = [frozenset(descending[:size]) for size in sizes.tolist()]
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
         raise InvariantViolation(f"layer weights sum to {total!r}, expected 1")
     return UniformDecomposition(
-        alphabet_size=arr.size, weights=tuple(weights), supports=tuple(supports)
+        alphabet_size=arr.size,
+        weights=tuple(weights),
+        order=tuple((ascending[::-1] + 1).tolist()),
+        sizes=tuple(sizes.tolist()),
     )
 
 

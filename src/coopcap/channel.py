@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .bounds import construction_failure_bounds
 from .errors import (
     ChannelFormatError,
     ConstructionExhausted,
@@ -201,6 +202,8 @@ class ConstructionParams:
 
     @classmethod
     def with_defaults(cls, m, epsilon=0.05, seed=0, p=None, f_of_m=None, g_of_m=None):
+        """The one place p, f and g are filled in: each one left None
+        becomes default_p(epsilon), default_f(m) or default_g(m)."""
         return cls(
             m=m,
             p=default_p(epsilon) if p is None else p,
@@ -531,14 +534,11 @@ def estimate_bad_density(
     epsilon: float,
     trials: int,
     seed: int,
-    size_pairs=None,
 ) -> DensityReport:
     """Sample random f x f submatrices and report how bad they are.
 
     A trial violates the density property when its bad fraction is not
-    strictly above 1 - epsilon. size_pairs optionally replaces the square
-    default with explicit (row-count, column-count) pairs, cycled over the
-    trials, for rectangular sampling.
+    strictly above 1 - epsilon.
     """
     n = matrix.n
     if not 1 <= f <= n:
@@ -547,19 +547,13 @@ def estimate_bad_density(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if size_pairs is not None:
-        size_pairs = [(int(a), int(b)) for a, b in size_pairs]
-        for a, b in size_pairs:
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"size pair {(a, b)} out of range [1, {n}]")
     rng = np.random.default_rng(seed)
     threshold = 1.0 - epsilon
     violations = 0
     min_frac = 1.0
-    for t in range(trials):
-        rows_f, cols_f = size_pairs[t % len(size_pairs)] if size_pairs else (f, f)
-        rows = rng.choice(n, size=rows_f, replace=False)
-        cols = rng.choice(n, size=cols_f, replace=False)
+    for _ in range(trials):
+        rows = rng.choice(n, size=f, replace=False)
+        cols = rng.choice(n, size=f, replace=False)
         sub = np.unpackbits(matrix.packed_rows[rows], axis=1, count=n)[:, cols]
         frac = float(sub.mean())
         min_frac = min(min_frac, frac)
@@ -571,13 +565,6 @@ def estimate_bad_density(
         min_bad_fraction_observed=min_frac,
         submatrix_size_used=f,
     )
-
-
-def _block_failure_bound_log2(m: int, g: int, p: float) -> float:
-    # Union bound: 2^(2m-g+1) blocks, each all-bad with probability p^(2^g).
-    if p == 0.0:
-        return -math.inf
-    return (2 * m - g + 1) + (1 << g) * math.log2(p)
 
 
 def construct_channel(
@@ -615,7 +602,9 @@ def construct_channel(
                 density_report=report,
                 construction_attempts=attempt + 1,
             )
-    bound = _block_failure_bound_log2(params.m, params.g_of_m, params.p)
+    bound = construction_failure_bounds(
+        params.m, params.p, params.f_of_m, params.g_of_m, params.epsilon
+    ).block_bound_log2
     raise ConstructionExhausted(
         f"no acceptable matrix in {max_attempts} attempts "
         f"(m={params.m}, p={params.p}, g={params.g_of_m}); per-attempt union "
@@ -640,13 +629,8 @@ def channel_from_matrix(
     verify runs the exact block check so block_property_verified is
     never asserted blindly.
     """
-    params = ConstructionParams(
-        m=matrix.m,
-        p=p,
-        epsilon=epsilon,
-        f_of_m=default_f(matrix.m) if f_of_m is None else f_of_m,
-        g_of_m=g,
-        seed=seed,
+    params = ConstructionParams.with_defaults(
+        matrix.m, epsilon=epsilon, seed=seed, p=p, f_of_m=f_of_m, g_of_m=g
     )
     verified = check_block_goodness(matrix, g).passed if verify else False
     return Channel(matrix=matrix, params=params, block_property_verified=verified)

@@ -23,7 +23,6 @@ from .channel import (
     construct_channel,
     default_f,
     default_g,
-    default_p,
     deserialize_channel,
     estimate_bad_density,
     serialize_channel,
@@ -123,21 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    m = args.m
-    params = ConstructionParams(
-        m=m,
-        p=args.p if args.p is not None else default_p(args.eps),
-        epsilon=args.eps,
-        f_of_m=args.f if args.f is not None else default_f(m),
-        g_of_m=args.g if args.g is not None else default_g(m),
-        seed=args.seed,
+    params = ConstructionParams.with_defaults(
+        args.m, epsilon=args.eps, seed=args.seed, p=args.p, f_of_m=args.f, g_of_m=args.g
     )
     channel = construct_channel(
         params, max_attempts=args.max_attempts, density_trials=args.density_trials
     )
     serialize_channel(channel, args.out, binary=args.binary)
     print(
-        f"out={args.out} m={m} g={params.g_of_m} f={params.f_of_m} "
+        f"out={args.out} m={params.m} g={params.g_of_m} f={params.f_of_m} "
         f"p={_fmt(params.p)} eps={_fmt(params.epsilon)} seed={params.seed} "
         f"attempts={channel.construction_attempts}"
     )
@@ -216,7 +209,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError(f"--eps must be >= 0, got {eps}")
     g = args.delta if args.delta is not None else default_g(m)
     f = args.f if args.f is not None else default_f(m)
-    p = default_p(eps) if 0 < eps < 1 else 1.0 - eps / 2
+    p = 1.0 - eps / 2
     inner = bounds_mod.cf_inner_region(m, g)
     outer = bounds_mod.cf_outer_region(m, float(g))
     finite = None

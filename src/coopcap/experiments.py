@@ -43,9 +43,6 @@ from .capacity import maximize_sum_rate
 from .channel import (
     ConstructionParams,
     construct_channel,
-    default_f,
-    default_g,
-    default_p,
     memory_cap,
     serialize_channel,
 )
@@ -62,20 +59,16 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-_RULES = ("default", "explicit")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep settings. f_rule/g_rule pick between the width-derived
-    schedules and explicit per-m lists (f_values/g_values, aligned with
-    m_values)."""
+    """Sweep settings. p, f and g follow ConstructionParams.with_defaults:
+    p_override, when set, replaces 1 - epsilon/2, and f_values/g_values,
+    when given, replace the width schedules with one entry per m."""
 
     m_values: tuple[int, ...]
     epsilon: float = 0.05
     p_override: float | None = None
-    f_rule: str = "default"
-    g_rule: str = "default"
     f_values: tuple[int, ...] | None = None
     g_values: tuple[int, ...] | None = None
     restarts: int = 8
@@ -97,21 +90,11 @@ class ExperimentConfig:
         for m in self.m_values:
             if not 1 <= m <= cap:
                 raise ValueError(f"m={m} outside 1..{cap} (memory cap)")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.p_override is not None and not 0.0 <= self.p_override <= 1.0:
             raise ValueError(f"p_override must be in [0, 1], got {self.p_override}")
-        for rule, values, name in (
-            (self.f_rule, self.f_values, "f"),
-            (self.g_rule, self.g_values, "g"),
-        ):
-            if rule not in _RULES:
-                raise ValueError(f"{name}_rule must be one of {_RULES}, got {rule!r}")
-            if rule == "explicit":
-                if values is None or len(values) != len(self.m_values):
-                    raise ValueError(
-                        f"{name}_rule=explicit needs {name}_values aligned with m_values"
-                    )
+        for name, values in (("f_values", self.f_values), ("g_values", self.g_values)):
+            if values is not None and len(values) != len(self.m_values):
+                raise ValueError(f"{name} needs one entry per m in m_values")
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
         if self.monte_carlo_trials < 0:
@@ -120,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        for index in range(len(self.m_values)):
+            self.params_for(index)  # checks epsilon, and f and g against their m
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -135,11 +120,13 @@ class ExperimentConfig:
 
     def params_for(self, index: int) -> ConstructionParams:
         m = self.m_values[index]
-        f = self.f_values[index] if self.f_rule == "explicit" else default_f(m)
-        g = self.g_values[index] if self.g_rule == "explicit" else default_g(m)
-        p = self.p_override if self.p_override is not None else default_p(self.epsilon)
-        return ConstructionParams(
-            m=m, p=p, epsilon=self.epsilon, f_of_m=f, g_of_m=g, seed=self.seed + m
+        return ConstructionParams.with_defaults(
+            m,
+            epsilon=self.epsilon,
+            seed=self.seed + m,
+            p=self.p_override,
+            f_of_m=None if self.f_values is None else self.f_values[index],
+            g_of_m=None if self.g_values is None else self.g_values[index],
         )
 
 

@@ -494,6 +494,7 @@ def test_decompose_simple():
     deco = decompose_into_uniforms([0.5, 0.25, 0.25])
     assert deco.alphabet_size == 3
     assert deco.weights == (0.75, 0.25)
+    assert deco.sizes == (3, 1) and deco.order[0] == 1
     assert deco.supports == (frozenset({1, 2, 3}), frozenset({1}))
 
 
@@ -510,20 +511,20 @@ def test_decompose_point_mass():
 
 
 def test_decomposition_validation():
-    with pytest.raises(ValueError):
-        UniformDecomposition(2, (), ())
-    with pytest.raises(ValueError):
-        UniformDecomposition(2, (1.0,), (frozenset({1}), frozenset({2})))
-    with pytest.raises(ValueError):
-        UniformDecomposition(
-            2, (0.5, 0.5), (frozenset({1}), frozenset({2}))
-        )  # not nested
-    with pytest.raises(ValueError):
-        UniformDecomposition(2, (0.5, 0.5), (frozenset({1, 2}), frozenset({1, 2})))
-    with pytest.raises(ValueError):
-        UniformDecomposition(2, (1.5, -0.5), (frozenset({1, 2}), frozenset({1})))
-    with pytest.raises(ValueError):
-        UniformDecomposition(2, (0.5, 0.4), (frozenset({1, 2}), frozenset({1})))
+    UniformDecomposition(2, (0.5, 0.5), (1, 2), (2, 1))
+    cases = [
+        ((), (1, 2), ()),  # no layers
+        ((1.0,), (1, 2), (2, 1)),  # one weight for two layers
+        ((0.5, 0.5), (1, 2), (1, 2)),  # not nested: sizes grow
+        ((0.5, 0.5), (1, 2), (2, 2)),  # not strictly nested
+        ((1.5, -0.5), (1, 2), (2, 1)),  # negative weight
+        ((0.5, 0.4), (1, 2), (2, 1)),  # weights do not sum to 1
+        ((1.0,), (1, 1), (2,)),  # order not a permutation
+        ((1.0,), (1, 2), (3,)),  # support wider than the alphabet
+    ]
+    for weights, order, sizes in cases:
+        with pytest.raises(ValueError):
+            UniformDecomposition(2, weights, order, sizes)
 
 
 def test_mass_on_supports_at_most():

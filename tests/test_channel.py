@@ -450,20 +450,6 @@ def test_density_threshold_is_strict():
     assert report.min_bad_fraction_observed == 0.75
 
 
-def test_density_rectangular_size_pairs():
-    dense = np.ones((4, 4), dtype=np.uint8)
-    dense[0] = 0  # one clean row
-    mat = ChannelMatrix.from_dense(dense)
-    report = estimate_bad_density(
-        mat, f=2, epsilon=0.5, trials=6, seed=3, size_pairs=[(4, 1), (1, 4)]
-    )
-    assert report.trials == 6
-    # (4, 1) submatrices always include the clean row: bad fraction 0.75
-    assert report.min_bad_fraction_observed <= 0.75
-    with pytest.raises(ValueError):
-        estimate_bad_density(mat, 2, 0.5, 4, 0, size_pairs=[(0, 2)])
-
-
 def test_density_validation():
     mat = dense_matrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError):

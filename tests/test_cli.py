@@ -257,7 +257,6 @@ def write_config(tmp_path, **overrides):
         m_values=[3],
         epsilon=0.3,
         p_override=0.5,
-        g_rule="explicit",
         g_values=[2],
         restarts=1,
         output_dir=str(tmp_path / "out"),

@@ -26,7 +26,6 @@ def tiny_config(tmp_path, **overrides):
         m_values=(3, 4),
         epsilon=0.3,
         p_override=0.5,
-        g_rule="explicit",
         g_values=(2, 3),
         restarts=1,
         seed=0,
@@ -52,9 +51,10 @@ def test_config_validation():
         dict(m_values=(3,), epsilon=1.0),
         dict(m_values=(3,), p_override=-0.1),
         dict(m_values=(3,), p_override=1.2),
-        dict(m_values=(3,), f_rule="magic"),
-        dict(m_values=(3,), g_rule="explicit"),  # missing g_values
-        dict(m_values=(3, 4), g_rule="explicit", g_values=(2,)),  # misaligned
+        dict(m_values=(3, 4), g_values=(2,)),  # misaligned
+        dict(m_values=(3,), f_values=(5, 6)),  # misaligned
+        dict(m_values=(3,), g_values=(4,)),  # g above m
+        dict(m_values=(3,), f_values=(9,)),  # f above 2^m
         dict(m_values=(3,), restarts=-1),
         dict(m_values=(3,), monte_carlo_trials=-1),
         dict(m_values=(3,), max_iters=0),
@@ -66,7 +66,7 @@ def test_config_validation():
 
 
 def test_config_coerces_value_lists():
-    config = ExperimentConfig(m_values=[3, 4], g_rule="explicit", g_values=[2, 3])
+    config = ExperimentConfig(m_values=[3, 4], g_values=[2, 3])
     assert config.m_values == (3, 4)
     assert config.g_values == (2, 3)
 
@@ -80,6 +80,9 @@ def test_config_from_json(tmp_path):
     assert config.restarts == 2
     path.write_text(json.dumps({"m_values": [3], "surprise": 1}))
     with pytest.raises(ValueError, match="surprise"):
+        ExperimentConfig.from_json(path)
+    path.write_text(json.dumps({"m_values": [3], "f_rule": "default"}))
+    with pytest.raises(ValueError, match="f_rule"):
         ExperimentConfig.from_json(path)
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="JSON object"):
@@ -101,9 +104,7 @@ def test_params_for_overrides():
     config = ExperimentConfig(
         m_values=(3,),
         p_override=0.5,
-        f_rule="explicit",
         f_values=(5,),
-        g_rule="explicit",
         g_values=(1,),
     )
     params = config.params_for(0)

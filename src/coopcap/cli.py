@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="evaluate the closed-form bounds as JSON")
     b.add_argument("--m", type=int, required=True, help="channel width exponent")
-    b.add_argument("--eps", type=float, default=0.05, help="density margin (default 0.05)")
+    b.add_argument(
+        "--eps", type=float, default=0.05, help="density margin in [0, 1) (default 0.05)"
+    )
     b.add_argument(
         "--delta",
         type=int,
@@ -205,8 +207,8 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     m, eps = args.m, args.eps
-    if eps < 0:
-        raise ValueError(f"--eps must be >= 0, got {eps}")
+    if not 0 <= eps < 1:
+        raise ValueError(f"--eps must be in [0, 1), got {eps}")
     g = args.delta if args.delta is not None else default_g(m)
     f = args.f if args.f is not None else default_f(m)
     p = 1.0 - eps / 2

@@ -1,17 +1,19 @@
 """Scalar reference implementations that the package's array code is
 checked against. They read the definitions one pair, one block or one
-output at a time, and share no code path with the package beyond its
-dataclasses.
+output at a time (the grid oracle scores every pair, a chunk of rows at a
+time), and share no code path with the package beyond its dataclasses and
+sum_rate, which gives the grid oracle's reported value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from coopcap import ERASURE, CfCode, IeCode, Orientation
-from coopcap.capacity import as_distribution
+from coopcap.capacity import BruteForceResult, ProbVector, as_distribution, sum_rate
 from coopcap.errors import InvariantViolation
 
 # ----------------------------------------------------------------------
@@ -179,3 +181,58 @@ def output_stats(channel, p1, p2) -> OutputStats:
     if erased > 0:
         y[ERASURE] = erased
     return OutputStats(gamma_by_x1=gamma_by, gamma=gamma, y_distribution=y)
+
+
+# ----------------------------------------------------------------------
+# Grid oracle: every pair of grid marginals
+# ----------------------------------------------------------------------
+
+
+def simplex_grid_oracle(n, steps):
+    """Every length-n count vector summing to steps, in the package's order:
+    stars and bars over the sorted (n - 1)-subsets of bar positions."""
+    points = []
+    for cuts in combinations(range(steps + n - 1), n - 1):
+        ends = (-1, *cuts, steps + n - 1)
+        points.append([b - a - 1 for a, b in zip(ends, ends[1:])])
+    return np.array(points, dtype=np.int64)
+
+
+def _xlog2x(x):
+    out = np.zeros_like(x)
+    out[x > 0] = x[x > 0] * np.log2(x[x > 0])
+    return out
+
+
+def grid_score_chunks(channel, grid_steps, chunk=256):
+    """The float32 scores -H(Y) of all K^2 pairs of grid marginals, as
+    (first p1 index, scores of chunk p1 rows x all K p2) pieces: one matrix
+    product per chunk for the entropy terms, a table for the erasure term
+    (gamma * steps^2 is an integer)."""
+    comps = simplex_grid_oracle(channel.n, grid_steps)
+    U = (comps / grid_steps).astype(np.float32)
+    UL = _xlog2x(comps / grid_steps).astype(np.float32)
+    good = (1 - channel.matrix.to_dense()).astype(np.float32)
+    left = np.hstack([UL, U])
+    right = np.vstack([good @ U.T, good @ UL.T])
+    comps_f = comps.astype(np.float32)
+    right_int = good @ comps_f.T
+    s2 = grid_steps * grid_steps
+    table = _xlog2x(1.0 - np.arange(s2 + 1) / s2).astype(np.float32)
+    for lo in range(0, len(comps), chunk):
+        gamma = (comps_f[lo : lo + chunk] @ right_int).astype(np.uint16)
+        yield lo, table[gamma] + left[lo : lo + chunk] @ right
+
+
+def brute_force_oracle(channel, grid_steps):
+    """BruteForceResult of the full float32 scan over all K^2 pairs of
+    grid marginals: the first pair in row-major order with the smallest
+    score, re-evaluated in float64. No pair is skipped."""
+    comps = simplex_grid_oracle(channel.n, grid_steps)
+    best, best_pair = np.float32(np.inf), None
+    for lo, scores in grid_score_chunks(channel, grid_steps):
+        r, c = np.unravel_index(np.argmin(scores), scores.shape)
+        if scores[r, c] < best:
+            best, best_pair = scores[r, c], (lo + r, c)
+    p1, p2 = (ProbVector(comps[k] / grid_steps) for k in best_pair)
+    return BruteForceResult(value=sum_rate(channel, p1, p2), p1=p1, p2=p2)

@@ -27,10 +27,10 @@ from coopcap import (
     UniformDecomposition,
 )
 from coopcap import capacity
-from coopcap.capacity import _maximize_marginal
+from coopcap.capacity import _ba_step, _first_best_pair, _fixed_stats, _maximize_marginal
 from coopcap.channel import ERASURE
 from coopcap.errors import InvariantViolation
-from oracles import output_stats
+from oracles import brute_force_oracle, grid_score_chunks, output_stats
 from strips import STRIP_BITS, many_strips
 
 
@@ -440,14 +440,147 @@ def test_brute_force_validation():
 
 
 def test_brute_force_argmax_independent_of_chunk(monkeypatch):
-    # the m = 2 channels of acceptance 5, on a coarser grid
-    for seed in range(100, 108):
-        channel = random_channel(2, seed)
+    # the m = 2 channels of acceptance 5 on a coarser grid, where a handful
+    # of pairs survive the bounds, and the all-bad channel, where none is
+    # dropped and the scan covers all K^2 pairs in chunks
+    channels = [random_channel(2, seed) for seed in range(100, 108)] + [all_bad_channel(2)]
+    for channel in channels:
         results = []
         for chunk in (37, 256, 4096):
             monkeypatch.setattr(capacity, "_BF_CHUNK", chunk)
             results.append(brute_force_sum_capacity(channel, grid_steps=24))
         assert all(r == results[0] for r in results[1:])
+    assert results[0] == brute_force_oracle(channels[-1], 24)
+
+
+@pytest.fixture
+def scanned_pairs(monkeypatch):
+    """The number of pairs each grid search scores, in call order."""
+    counts = []
+
+    def spy(dense, comps, steps, rows, cols):
+        counts.append(rows.size * cols.size)
+        return _first_best_pair(dense, comps, steps, rows, cols)
+
+    monkeypatch.setattr(capacity, "_first_best_pair", spy)
+    return counts
+
+
+def test_brute_force_all_bad_scans_every_pair(scanned_pairs):
+    result = brute_force_sum_capacity(all_bad_channel(2), grid_steps=16)
+    assert result.value == 0.0 and math.copysign(1.0, result.value) == 1.0
+    assert scanned_pairs == [len(capacity._simplex_grid(4, 16)) ** 2]
+    # the first pair of the grid: every pair ties at 0
+    assert result.p1.probs.tolist() == result.p2.probs.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_brute_force_prunes_to_few_pairs(scanned_pairs):
+    for seed in range(100, 104):
+        brute_force_sum_capacity(random_channel(2, seed), grid_steps=64)
+    # of 2,294,889,025 pairs each, 1 to 15 are scored on these channels
+    assert max(scanned_pairs) <= 100
+
+
+def test_scan_of_one_line_matches_full_scan():
+    # The survivors' scan must score every pair as the full scan does, also
+    # when a single p1 or p2 survives: each line's first minimum.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((4, 4)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        dense[1] = dense[0]  # mirrored p1 tie in exact arithmetic
+        channel = make_channel(dense, verify=False)
+        steps = 8 + seed
+        scores = np.vstack([chunk for _, chunk in grid_score_chunks(channel, steps)])
+        comps = capacity._simplex_grid(4, steps)
+        every = np.arange(len(comps))
+        good = channel.matrix.good.toarray()
+        for k in every:
+            one = np.array([k])
+            assert _first_best_pair(good, comps, steps, every, one) == (np.argmin(scores[:, k]), k)
+            assert _first_best_pair(good, comps, steps, one, every) == (k, np.argmin(scores[k]))
+
+
+@st.composite
+def grid_channels(draw):
+    """m <= 2 channels with bad density anywhere in [0, 1] (all-good and
+    all-bad included) and optionally a duplicated row or column, which
+    forces ties between mirrored grid pairs."""
+    m = draw(st.integers(1, 2))
+    n = 1 << m
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dense = (rng.random((n, n)) < density).astype(np.uint8)
+    if draw(st.booleans()):
+        dense[draw(st.integers(0, n - 1))] = dense[draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        dense[:, draw(st.integers(0, n - 1))] = dense[:, draw(st.integers(0, n - 1))]
+    return make_channel(dense, verify=False)
+
+
+@given(grid_channels(), st.integers(1, 24), st.sampled_from([1, 2, capacity._BF_BA_STEPS]))
+@settings(max_examples=60, deadline=None)
+def test_brute_force_matches_full_scan_oracle(channel, steps, ba_steps):
+    # few Blahut-Arimoto steps leave rows undecided, and those must be kept
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capacity, "_BF_BA_STEPS", ba_steps)
+        result = brute_force_sum_capacity(channel, steps)
+    assert result == brute_force_oracle(channel, steps)
+
+
+def test_brute_force_margin_covers_float32_error():
+    # The margin must be at least twice the scan's worst float32 error:
+    # score every pair of a 16-step grid in float32 as the scan does and in
+    # float64, on channels from all-good to all-bad.
+    steps = 16
+    comps = capacity._simplex_grid(4, steps)
+    u64 = comps / steps
+    ul64 = xlog2x(u64)
+    s2 = steps * steps
+    table = xlog2x(1.0 - np.arange(s2 + 1) / s2).astype(np.float32)
+    worst = 0.0
+    for seed, density in [(0, 0.0), (1, 0.2), (2, 0.5), (3, 0.5), (4, 0.8), (5, 1.0)]:
+        good = 1.0 - random_channel(2, seed, density).matrix.to_dense()
+        s, t = good @ u64.T, good @ ul64.T
+        exact = -(ul64 @ s) - u64 @ t - xlog2x(np.clip(1.0 - u64 @ s, 0.0, 1.0))
+        g32, u32, ul32 = good.astype(np.float32), u64.astype(np.float32), ul64.astype(np.float32)
+        gamma = np.rint(comps.astype(np.float32) @ (g32 @ comps.T.astype(np.float32)))
+        score = np.hstack([ul32, u32]) @ np.vstack([g32 @ u32.T, g32 @ ul32.T])
+        score += table[gamma.astype(np.int64)]
+        worst = max(worst, float(np.abs(score.astype(np.float64) + exact).max()))
+    assert 0 < 2 * worst <= capacity._BF_MARGIN
+
+
+@st.composite
+def grid_marginals(draw):
+    """A channel with m <= 3 and eight grid pmfs of it, some with zero
+    masses (boundary points of the simplex)."""
+    m = draw(st.integers(1, 3))
+    n = 1 << m
+    steps = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    channel = random_channel(m, int(rng.integers(2**31)), density=draw(st.floats(0.0, 1.0)))
+    comps = rng.multinomial(steps, rng.dirichlet(np.ones(n)), size=8)
+    comps[rng.random(comps.shape) < 0.3] = 0  # push points onto faces
+    comps[:, 0] += steps - comps.sum(axis=1)
+    return channel, comps, steps
+
+
+@given(grid_marginals())
+@settings(max_examples=60, deadline=None)
+def test_grid_bounds_hold_after_every_step(case):
+    # After each of 50 steps, each fixed marginal's Gibbs bound is at least
+    # its exact best response, and its Blahut-Arimoto value at most that.
+    channel, comps, steps = case
+    dense = 1.0 - channel.matrix.to_dense()
+    for (s, t), transpose in zip(_fixed_stats(dense, comps, steps), (True, False)):
+        best = np.array(
+            [_maximize_marginal(*good_products(channel, c / steps, transpose))[1] for c in comps]
+        )
+        b = np.full(s.shape, 1.0 / s.shape[1])
+        for _ in range(50):
+            upper, lower, b = _ba_step(s, t, b)
+            assert np.all(upper >= best - 1e-12)
+            assert np.all(lower <= best + 1e-12)
 
 
 def naive_grid_max(channel, steps):

@@ -241,6 +241,14 @@ def test_bounds_explicit_delta_and_f(capsys):
     assert payload["failure_bounds"]["density_enumerated"] is True
 
 
+@pytest.mark.parametrize("eps", ["1", "1.5", "3", "-0.1"])
+def test_bounds_rejects_eps_outside_unit_interval(capsys, eps):
+    code, out, err = run(capsys, "bounds", "--m", "8", "--eps", eps)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --eps must be in [0, 1), got {float(eps)}\n"
+
+
 def test_bounds_invalid_delta(capsys):
     code, _, err = run(capsys, "bounds", "--m", "4", "--delta", "9")
     assert code == 1

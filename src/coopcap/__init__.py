@@ -7,173 +7,31 @@ the single-sender fallback on it (coding), estimate the best
 no-facilitator sum rate over product inputs (capacity), and compare
 against the closed-form inner/outer bounds (bounds). experiments sweeps
 widths and persists records; cli exposes everything as subcommands.
+
+The top level holds the names of that pipeline; everything else is
+imported from its own module.
 """
 
-from .bounds import (
-    BoundSequences,
-    FailureBounds,
-    GapBounds,
-    HyperbolaRegion,
-    RateRegion,
-    bound_sequences,
-    cf_inner_region,
-    cf_outer_region,
-    construction_failure_bounds,
-    hull_max_sum,
-    ie_inner_sum,
-    ie_outer_sum,
-    ie_outer_sum_asymptotic,
-    numeric_hull_max,
-    theorem_gap,
-)
-from .capacity import (
-    AltMaxResult,
-    BruteForceResult,
-    ProbVector,
-    RateTriple,
-    UniformDecomposition,
-    alternating_maximization,
-    as_distribution,
-    brute_force_sum_capacity,
-    decompose_into_uniforms,
-    entropy_bits,
-    maximize_sum_rate,
-    rate_triple,
-    sum_rate,
-    tail_mass_bound,
-    xlog2x,
-)
-from .channel import (
-    ERASURE,
-    BlockCheckResult,
-    Channel,
-    ChannelMatrix,
-    ConstructionParams,
-    DensityReport,
-    channel_from_matrix,
-    check_block_goodness,
-    construct_channel,
-    default_f,
-    default_g,
-    default_p,
-    deserialize_channel,
-    estimate_bad_density,
-    first_good,
-    memory_cap,
-    sample_matrix,
-    serialize_channel,
-)
-from .coding import (
-    CfCode,
-    IeCode,
-    Orientation,
-    ZeroErrorReport,
-    build_ie_code,
-    cf_decode,
-    cf_encode,
-    facilitator_output,
-    ie_decode,
-    ie_encode,
-    monte_carlo_error,
-    verify_zero_error,
-)
-from .errors import (
-    ChannelFormatError,
-    ConstructionExhausted,
-    CoopcapError,
-    HypothesisViolation,
-    InvariantViolation,
-    MemoryCapExceeded,
-)
-from .experiments import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    ExperimentRecord,
-    load_jsonl,
-    plot_data,
-    run_sweep,
-)
+from .bounds import cf_inner_region, cf_outer_region
+from .capacity import brute_force_sum_capacity, maximize_sum_rate, sum_rate
+from .channel import ConstructionParams, construct_channel
+from .coding import CfCode, monte_carlo_error, verify_zero_error
+from .experiments import ExperimentConfig, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "CoopcapError",
-    "MemoryCapExceeded",
-    "ConstructionExhausted",
-    "ChannelFormatError",
-    "HypothesisViolation",
-    "InvariantViolation",
-    # channel
-    "ERASURE",
-    "ConstructionParams",
-    "ChannelMatrix",
-    "Channel",
-    "DensityReport",
-    "BlockCheckResult",
-    "default_f",
-    "default_g",
-    "default_p",
-    "memory_cap",
-    "sample_matrix",
-    "check_block_goodness",
-    "first_good",
-    "estimate_bad_density",
-    "construct_channel",
-    "channel_from_matrix",
-    "serialize_channel",
-    "deserialize_channel",
-    # coding
-    "Orientation",
     "CfCode",
-    "IeCode",
-    "ZeroErrorReport",
-    "facilitator_output",
-    "cf_encode",
-    "cf_decode",
-    "verify_zero_error",
-    "build_ie_code",
-    "ie_encode",
-    "ie_decode",
-    "monte_carlo_error",
-    # capacity
-    "ProbVector",
-    "RateTriple",
-    "AltMaxResult",
-    "BruteForceResult",
-    "UniformDecomposition",
-    "xlog2x",
-    "entropy_bits",
-    "as_distribution",
-    "sum_rate",
-    "rate_triple",
-    "alternating_maximization",
-    "maximize_sum_rate",
+    "ConstructionParams",
+    "ExperimentConfig",
     "brute_force_sum_capacity",
-    "decompose_into_uniforms",
-    "tail_mass_bound",
-    # bounds
-    "RateRegion",
-    "BoundSequences",
-    "HyperbolaRegion",
-    "FailureBounds",
-    "GapBounds",
     "cf_inner_region",
     "cf_outer_region",
-    "ie_inner_sum",
-    "bound_sequences",
-    "hull_max_sum",
-    "numeric_hull_max",
-    "ie_outer_sum",
-    "ie_outer_sum_asymptotic",
-    "construction_failure_bounds",
-    "theorem_gap",
-    # experiments
-    "CSV_COLUMNS",
-    "ExperimentConfig",
-    "ExperimentRecord",
+    "construct_channel",
+    "maximize_sum_rate",
+    "monte_carlo_error",
     "run_sweep",
-    "load_jsonl",
-    "plot_data",
+    "sum_rate",
+    "verify_zero_error",
 ]

@@ -13,8 +13,8 @@ mirrored hyperbola constraints
 
 whose constants derive from K_m = (1 - log2(f)/m)^-1. The maximum of
 x + y over the convex hull of that set has the closed form
-a - b + sqrt((a + b)^2 + 4c) under sign hypotheses on (a, b, c); a grid
-oracle evaluates the same maximum without the hypotheses. As m grows with
+a - b + sqrt((a + b)^2 + 4c) under sign hypotheses on (a, b, c); when
+they fail it raises rather than return a number. As m grows with
 log2(f)/m -> 0 the constants tend to (0, 1, 1 + eps) and the sum bound to
 (sqrt(5 + 4 eps) - 1) m. The approach is slow: with t = log2(f)/m the
 errors are a_m = t + 1/m, b_m - 1 = -3t + t^2 - 1/m and
@@ -48,7 +48,6 @@ __all__ = [
     "ie_inner_sum",
     "bound_sequences",
     "hull_max_sum",
-    "numeric_hull_max",
     "ie_outer_sum",
     "ie_outer_sum_asymptotic",
     "construction_failure_bounds",
@@ -225,14 +224,6 @@ class HyperbolaRegion:
                 )
         return tuple(failed)
 
-    def feasible(self, x: float, y: float) -> bool:
-        return (
-            x >= 0
-            and y >= 0
-            and (x - self.a) * (y + self.b) <= self.c
-            and (x + self.b) * (y - self.a) <= self.c
-        )
-
 
 def hull_max_sum(region: HyperbolaRegion) -> float:
     """Max of x + y over the convex hull of the region, in closed form:
@@ -243,33 +234,6 @@ def hull_max_sum(region: HyperbolaRegion) -> float:
         raise HypothesisViolation(failures)
     a, b, c = region.a, region.b, region.c
     return a - b + math.sqrt((a + b) ** 2 + 4.0 * c)
-
-
-def numeric_hull_max(region: HyperbolaRegion, samples_per_axis: int = 2000) -> float:
-    """Grid estimate of max(x + y) over the hull, hypothesis-free.
-
-    Needs a >= 0, b > 0, c >= 0 so the region is bounded inside
-    [0, a + c/b]^2. A linear objective attains its hull maximum at a
-    region point, so scanning column tops suffices: for each grid x the
-    largest feasible y is a + c/(x+b), further capped by c/(x-a) - b once
-    x > a.
-    """
-    a, b, c = region.a, region.b, region.c
-    if samples_per_axis < 2:
-        raise ValueError(f"samples_per_axis must be >= 2, got {samples_per_axis}")
-    if not (a >= 0 and b > 0 and c >= 0):
-        raise ValueError(
-            f"grid evaluation needs a >= 0, b > 0, c >= 0, got {(a, b, c)}"
-        )
-    xs = np.linspace(0.0, a + c / b, samples_per_axis)
-    ytop = a + c / (xs + b)
-    past = xs > a
-    ytop[past] = np.minimum(ytop[past], c / (xs[past] - a) - b)
-    ytop = np.minimum(ytop, a + c / b)
-    feasible = ytop >= 0
-    if not feasible.any():
-        return 0.0 if region.feasible(0.0, 0.0) else float("-inf")
-    return float(np.max(xs[feasible] + ytop[feasible]))
 
 
 def ie_outer_sum(m: int, epsilon: float, f_of_m: int) -> float:
@@ -301,20 +265,6 @@ class FailureBounds:
     block_bound_log2: float
     density_bound_log2: float
     density_enumerated: bool
-
-    @staticmethod
-    def _linear(log2_value: float) -> float:
-        if log2_value > 1023:
-            return float("inf")
-        return 2.0 ** log2_value
-
-    @property
-    def block_bound(self) -> float:
-        return self._linear(self.block_bound_log2)
-
-    @property
-    def density_bound(self) -> float:
-        return self._linear(self.density_bound_log2)
 
 
 _DENSITY_EXACT_LIMIT = 1 << 20  # max number of rows i whose sums are taken exactly

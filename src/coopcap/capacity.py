@@ -51,14 +51,12 @@ from .errors import InvariantViolation
 
 __all__ = [
     "ProbVector",
-    "RateTriple",
     "AltMaxResult",
     "BruteForceResult",
     "UniformDecomposition",
     "xlog2x",
     "entropy_bits",
     "sum_rate",
-    "rate_triple",
     "alternating_maximization",
     "maximize_sum_rate",
     "brute_force_sum_capacity",
@@ -106,24 +104,8 @@ class ProbVector:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
-    @classmethod
-    def uniform(cls, n: int) -> "ProbVector":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, symbol: int, n: int) -> "ProbVector":
-        if not 1 <= symbol <= n:
-            raise ValueError(f"symbol must be in [1, {n}], got {symbol}")
-        arr = np.zeros(n)
-        arr[symbol - 1] = 1.0
-        return cls(arr)
-
     def __len__(self) -> int:
         return self.probs.size
-
-    @property
-    def entropy(self) -> float:
-        return entropy_bits(self.probs)
 
     def __eq__(self, other):
         if not isinstance(other, ProbVector):
@@ -161,36 +143,6 @@ def sum_rate(channel: Channel, p1, p2) -> float:
     v = as_distribution(p2, n)
     st = channel.matrix.good @ _with_logs(v)
     return _entropy_from_products(u, xlog2x(u), st[:, 0], st[:, 1])
-
-
-@dataclass(frozen=True)
-class RateTriple:
-    """Per-sender conditional rates and the sum rate, in bits."""
-
-    i1: float
-    i2: float
-    i12: float
-
-
-def rate_triple(channel: Channel, p1, p2) -> RateTriple:
-    """(H(Y1|X2), H(Y2|X1), H(Y)) for independent inputs; deterministic
-    channel, so each mutual information reduces to an output entropy."""
-    n = channel.n
-    u = as_distribution(p1, n)
-    v = as_distribution(p2, n)
-    ul, vl = xlog2x(u), xlog2x(v)
-    good = channel.matrix.good
-    row = good @ np.column_stack([v, vl])
-    col = good.T @ np.column_stack([u, ul])
-    i2 = float(-(u @ row[:, 1]) - u @ xlog2x(np.clip(1.0 - row[:, 0], 0.0, 1.0)))
-    i1 = float(-(v @ col[:, 1]) - v @ xlog2x(np.clip(1.0 - col[:, 0], 0.0, 1.0)))
-    i12 = _entropy_from_products(u, ul, row[:, 0], row[:, 1])
-    tol = 1e-9
-    if max(i1, i2) > i12 + tol or i12 > i1 + i2 + tol:
-        raise InvariantViolation(f"rate triple out of order: {i1}, {i2}, {i12}")
-    if i12 > 2 * channel.m + tol:
-        raise InvariantViolation(f"sum rate {i12} above 2m = {2 * channel.m}")
-    return RateTriple(i1=i1, i2=i2, i12=i12)
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +236,6 @@ def _frank_wolfe_gap(u, s, t) -> float:
 
 def alternating_maximization(
     channel: Channel,
-    init1=None,
     init2=None,
     max_iters: int = 100,
     tol: float = 1e-8,
@@ -294,14 +245,17 @@ def alternating_maximization(
     The reported value never decreases from sweep to sweep (each update is
     the best response to the other marginal). Converges to a coordinate-wise
     optimum, which need not be the global product-distribution optimum;
-    see maximize_sum_rate for restarts. Only init2 shapes the run past its
-    starting value, since the first update replaces p1 by its best response.
+    see maximize_sum_rate for restarts. p1 starts uniform: the first update
+    replaces it by its best response to init2 (uniform when None), so it
+    only sets the starting value.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     n = channel.n
-    u = as_distribution(init1, n) if init1 is not None else np.full(n, 1.0 / n)
-    v = as_distribution(init2, n) if init2 is not None else np.full(n, 1.0 / n)
+    u = np.full(n, 1.0 / n)
+    v = as_distribution(init2, n) if init2 is not None else u
     good = channel.matrix.good
     good_t = good.T  # a new view per .T, so take it once per run
     row = good @ _with_logs(v)
@@ -343,16 +297,16 @@ def maximize_sum_rate(
     max_iters: int = 100,
     tol: float = 1e-8,
 ) -> AltMaxResult:
-    """Best alternating-maximization run from uniform plus random restarts."""
+    """Best alternating-maximization run from uniform plus random restarts,
+    each from one Dirichlet draw of p2."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     best = alternating_maximization(channel, max_iters=max_iters, tol=tol)
     rng = np.random.default_rng(seed)
     n = channel.n
     for _ in range(restarts):
-        init1 = rng.dirichlet(np.ones(n))
         init2 = rng.dirichlet(np.ones(n))
-        run = alternating_maximization(channel, init1, init2, max_iters=max_iters, tol=tol)
+        run = alternating_maximization(channel, init2, max_iters=max_iters, tol=tol)
         if run.value > best.value:
             best = run
     return best

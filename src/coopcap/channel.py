@@ -251,11 +251,6 @@ class ChannelMatrix:
     def n(self) -> int:
         return 1 << self.m
 
-    @property
-    def bit_length(self) -> int:
-        """Total number of matrix bits, 2^(2m)."""
-        return self.n * self.n
-
     def bit(self, x1, x2):
         """Entry at 1-based position (x1, x2); arrays of positions broadcast
         and give the array of entries."""
@@ -264,20 +259,6 @@ class ChannelMatrix:
             raise ValueError(f"symbols must be in [1, {n}], got ({x1}, {x2})")
         j = x2 - 1
         return self.packed_rows[x1 - 1, j >> 3] >> (7 - (j & 7)) & 1
-
-    def row_bits(self, x1: int) -> np.ndarray:
-        """Row x1 (1-based) as a length-2^m 0/1 array."""
-        return np.unpackbits(self.packed_rows[x1 - 1], count=self.n)
-
-    def col_bits(self, x2: int) -> np.ndarray:
-        """Column x2 (1-based) as a length-2^m 0/1 array."""
-        j = x2 - 1
-        return (self.packed_rows[:, j >> 3] >> (7 - (j & 7))) & 1
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Flat row-major 0/1 array of length 2^(2m). Materializes a copy."""
-        return np.unpackbits(self.packed_rows, axis=1, count=self.n).reshape(-1)
 
     def to_dense(self) -> np.ndarray:
         """Full (2^m, 2^m) uint8 matrix. Materializes a copy."""
@@ -577,10 +558,13 @@ def construct_channel(
     Attempt i (0-based) uses seed + i, so runs are reproducible and the
     first attempt coincides with sample_matrix(m, p, seed). The accepted
     matrix gets a sampled density report attached (seeded past the attempt
-    range so subset draws never reuse a matrix stream).
+    range so subset draws never reuse a matrix stream); density_trials=0
+    attaches none.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if density_trials < 0:
+        raise ValueError(f"density_trials must be >= 0, got {density_trials}")
     _require_within_cap(params.m)
     for attempt in range(max_attempts):
         matrix = sample_matrix(params.m, params.p, params.seed + attempt)
@@ -663,7 +647,7 @@ def serialize_channel(channel: Channel, path, *, binary: bool = False) -> None:
             if n % 8 == 0:
                 fh.write(matrix.packed_rows.tobytes())
             else:
-                fh.write(np.packbits(matrix.bits).tobytes())
+                fh.write(np.packbits(matrix.to_dense()).tobytes())
         else:
             # Stream row chunks so a large matrix never fully unpacks at once.
             chunk = max(1, (1 << 22) // n)

@@ -163,6 +163,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_code_check(args) -> int:
+    if args.mc_trials < 0:
+        raise ValueError(f"--mc-trials must be >= 0, got {args.mc_trials}")
     channel = deserialize_channel(args.file)
     code = CfCode(channel, Orientation.parse(args.orientation))
     report = verify_zero_error(code)

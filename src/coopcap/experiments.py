@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -60,6 +61,35 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
+
+
+# What each config field must hold, as a JSON config spells it.
+_FIELD_TYPES = {
+    "m_values": (_is_int_list, "a list of integers"),
+    "epsilon": (_is_real, "a number"),
+    "p_override": (_is_real, "a number or null"),
+    "f_values": (_is_int_list, "a list of integers or null"),
+    "g_values": (_is_int_list, "a list of integers or null"),
+    "restarts": (_is_int, "an integer"),
+    "tol": (_is_real, "a number"),
+    "max_iters": (_is_int, "an integer"),
+    "monte_carlo_trials": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "output_dir": (lambda value: isinstance(value, str), "a string"),
+}
+_NULLABLE = ("p_override", "f_values", "g_values")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep settings. p, f and g follow ConstructionParams.with_defaults:
@@ -79,6 +109,10 @@ class ExperimentConfig:
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
+        for name, (valid, expected) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not (valid(value) or (value is None and name in _NULLABLE)):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if self.f_values is not None:
             object.__setattr__(self, "f_values", tuple(int(v) for v in self.f_values))

@@ -1,8 +1,9 @@
 """Scalar reference implementations that the package's array code is
 checked against. They read the definitions one pair, one block or one
 output at a time (the grid oracle scores every pair, a chunk of rows at a
-time), and share no code path with the package beyond its dataclasses and
-sum_rate, which gives the grid oracle's reported value.
+time; the hull oracle scans a grid of x), and share no code path with the
+package beyond its dataclasses and sum_rate, which gives the grid oracle's
+reported value.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
-from coopcap import ERASURE, CfCode, IeCode, Orientation
-from coopcap.capacity import BruteForceResult, ProbVector, as_distribution, sum_rate
+from coopcap import CfCode, sum_rate
+from coopcap.capacity import BruteForceResult, ProbVector, as_distribution
+from coopcap.channel import ERASURE
+from coopcap.coding import IeCode, Orientation
 from coopcap.errors import InvariantViolation
 
 # ----------------------------------------------------------------------
@@ -37,9 +40,14 @@ def col_block_bits(matrix, x2, k, g):
     return (matrix.packed_rows[rows, j >> 3] >> (7 - (j & 7))) & 1
 
 
+def row_bits(matrix, x1):
+    """Row x1 (1-based) as a length-2^m 0/1 array."""
+    return np.unpackbits(matrix.packed_rows[x1 - 1], count=matrix.n)
+
+
 def channel_apply(channel, x1, x2):
     """Send (x1, x2) once: the pair itself on a good entry, else ERASURE."""
-    return (x1, x2) if channel.matrix.row_bits(x1)[x2 - 1] == 0 else ERASURE
+    return (x1, x2) if row_bits(channel.matrix, x1)[x2 - 1] == 0 else ERASURE
 
 
 def first_good_oracle(dense, g, axis):
@@ -170,7 +178,7 @@ def output_stats(channel, p1, p2) -> OutputStats:
     gamma_by = np.zeros(n)
     y: dict = {}
     for i in range(n):
-        good = channel.matrix.row_bits(i + 1) == 0
+        good = row_bits(channel.matrix, i + 1) == 0
         s_i = float(v[good].sum())
         gamma_by[i] = u[i] * s_i
         if u[i] > 0:
@@ -181,6 +189,73 @@ def output_stats(channel, p1, p2) -> OutputStats:
     if erased > 0:
         y[ERASURE] = erased
     return OutputStats(gamma_by_x1=gamma_by, gamma=gamma, y_distribution=y)
+
+
+def uniform(n) -> ProbVector:
+    return ProbVector(np.full(n, 1.0 / n))
+
+
+@dataclass(frozen=True)
+class RateTriple:
+    """Per-sender conditional rates and the sum rate, in bits."""
+
+    i1: float
+    i2: float
+    i12: float
+
+
+def rate_triple(channel, p1, p2) -> RateTriple:
+    """(H(Y1|X2), H(Y2|X1), H(Y)) for independent inputs from the dense
+    matrix; the channel is deterministic, so each mutual information is an
+    output entropy. H(Y) comes from the joint law of the outputs, not from
+    the row sums sum_rate uses."""
+    n = channel.n
+    u = as_distribution(p1, n)
+    v = as_distribution(p2, n)
+    good = 1.0 - channel.matrix.to_dense()
+    row, col = good @ v, good.T @ u  # P(good | X1 = i), P(good | X2 = j)
+    i2 = u @ (-(good @ _xlog2x(v)) - _xlog2x(np.clip(1.0 - row, 0.0, 1.0)))
+    i1 = v @ (-(good.T @ _xlog2x(u)) - _xlog2x(np.clip(1.0 - col, 0.0, 1.0)))
+    joint = np.outer(u, v) * good
+    law = np.append(joint.ravel(), max(1.0 - joint.sum(), 0.0))  # last: ERASURE
+    i12 = -_xlog2x(law).sum()
+    return RateTriple(i1=float(i1), i2=float(i2), i12=float(i12))
+
+
+# ----------------------------------------------------------------------
+# Hyperbola hull maximum on a grid
+# ----------------------------------------------------------------------
+
+
+def hyperbola_feasible(region, x, y):
+    """(x, y) is nonnegative and meets both hyperbola constraints."""
+    a, b, c = region.a, region.b, region.c
+    return x >= 0 and y >= 0 and (x - a) * (y + b) <= c and (x + b) * (y - a) <= c
+
+
+def numeric_hull_max(region, samples_per_axis=2000):
+    """Grid estimate of max(x + y) over the hull, hypothesis-free.
+
+    Needs a >= 0, b > 0, c >= 0 so the region is bounded inside
+    [0, a + c/b]^2. A linear objective attains its hull maximum at a
+    region point, so scanning column tops suffices: for each grid x the
+    largest feasible y is a + c/(x+b), further capped by c/(x-a) - b once
+    x > a. No root of the closed form is solved.
+    """
+    a, b, c = region.a, region.b, region.c
+    if samples_per_axis < 2:
+        raise ValueError(f"samples_per_axis must be >= 2, got {samples_per_axis}")
+    if not (a >= 0 and b > 0 and c >= 0):
+        raise ValueError(f"grid evaluation needs a >= 0, b > 0, c >= 0, got {(a, b, c)}")
+    xs = np.linspace(0.0, a + c / b, samples_per_axis)
+    ytop = a + c / (xs + b)
+    past = xs > a
+    ytop[past] = np.minimum(ytop[past], c / (xs[past] - a) - b)
+    ytop = np.minimum(ytop, a + c / b)
+    feasible = ytop >= 0
+    if not feasible.any():
+        return 0.0 if hyperbola_feasible(region, 0.0, 0.0) else float("-inf")
+    return float(np.max(xs[feasible] + ytop[feasible]))
 
 
 # ----------------------------------------------------------------------

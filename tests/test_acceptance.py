@@ -15,27 +15,25 @@ import numpy as np
 
 from coopcap import (
     CfCode,
-    ChannelMatrix,
     ConstructionParams,
     ExperimentConfig,
-    HyperbolaRegion,
-    Orientation,
-    bound_sequences,
     brute_force_sum_capacity,
-    channel_from_matrix,
     construct_channel,
-    construction_failure_bounds,
-    decompose_into_uniforms,
-    default_g,
-    entropy_bits,
-    hull_max_sum,
     maximize_sum_rate,
-    numeric_hull_max,
     run_sweep,
     sum_rate,
-    tail_mass_bound,
     verify_zero_error,
 )
+from coopcap.bounds import (
+    HyperbolaRegion,
+    bound_sequences,
+    construction_failure_bounds,
+    hull_max_sum,
+)
+from coopcap.capacity import decompose_into_uniforms, entropy_bits, tail_mass_bound
+from coopcap.channel import ChannelMatrix, channel_from_matrix, default_g
+from coopcap.coding import Orientation
+from oracles import numeric_hull_max
 
 
 def report(n, ok, detail):
@@ -221,10 +219,10 @@ def test_acceptance_7_gap_bracket_sweep(tmp_path):
 
 
 def test_acceptance_8_failure_bound_values():
-    hand = construction_failure_bounds(4, 0.9, 8, 3, 0.2).block_bound
+    hand = 2.0 ** construction_failure_bounds(4, 0.9, 8, 3, 0.2).block_bound_log2
     hand_ok = abs(hand - 27.55) <= 0.01
     series = [
-        construction_failure_bounds(m, 0.9, 1, default_g(m), 0.2).block_bound
+        2.0 ** construction_failure_bounds(m, 0.9, 1, default_g(m), 0.2).block_bound_log2
         for m in (16, 32, 64)
     ]
     decreasing = series[0] > series[1] > series[2]

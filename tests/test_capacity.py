@@ -8,29 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopcap import (
-    AltMaxResult,
-    ChannelMatrix,
+from coopcap import brute_force_sum_capacity, maximize_sum_rate, sum_rate
+from coopcap import capacity
+from coopcap.capacity import (
     ProbVector,
+    UniformDecomposition,
+    _ba_step,
+    _first_best_pair,
+    _fixed_stats,
+    _maximize_marginal,
     alternating_maximization,
     as_distribution,
-    brute_force_sum_capacity,
-    channel_from_matrix,
     decompose_into_uniforms,
     entropy_bits,
-    maximize_sum_rate,
-    rate_triple,
-    sample_matrix,
-    sum_rate,
     tail_mass_bound,
     xlog2x,
-    UniformDecomposition,
 )
-from coopcap import capacity
-from coopcap.capacity import _ba_step, _first_best_pair, _fixed_stats, _maximize_marginal
-from coopcap.channel import ERASURE
-from coopcap.errors import InvariantViolation
-from oracles import brute_force_oracle, grid_score_chunks, output_stats
+from coopcap.channel import ERASURE, ChannelMatrix, channel_from_matrix, sample_matrix
+from oracles import brute_force_oracle, grid_score_chunks, output_stats, rate_triple, uniform
 from strips import STRIP_BITS, many_strips
 
 
@@ -87,16 +82,12 @@ def test_entropy_bits_values():
 
 
 def test_prob_vector_constructors():
-    u = ProbVector.uniform(4)
+    u = uniform(4)
     assert len(u) == 4
-    assert u.entropy == 2.0
-    point = ProbVector.point_mass(2, 4)
+    assert entropy_bits(u.probs) == 2.0
+    point = ProbVector([0.0, 1.0, 0.0, 0.0])
     assert point.probs.tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert point.entropy == 0.0
-    with pytest.raises(ValueError):
-        ProbVector.point_mass(5, 4)
-    with pytest.raises(ValueError):
-        ProbVector.point_mass(0, 4)
+    assert entropy_bits(point.probs) == 0.0
 
 
 def test_prob_vector_validation():
@@ -112,7 +103,7 @@ def test_prob_vector_validation():
 
 
 def test_prob_vector_immutable_and_eq():
-    u = ProbVector.uniform(2)
+    u = uniform(2)
     with pytest.raises(ValueError):
         u.probs[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -125,7 +116,7 @@ def test_prob_vector_immutable_and_eq():
 def test_as_distribution():
     arr = as_distribution([0.25, 0.75])
     assert arr.tolist() == [0.25, 0.75]
-    assert as_distribution(ProbVector.uniform(2)).tolist() == [0.5, 0.5]
+    assert as_distribution(uniform(2)).tolist() == [0.5, 0.5]
     with pytest.raises(ValueError):
         as_distribution([0.25, 0.75], n=3)
     with pytest.raises(ValueError):
@@ -163,8 +154,8 @@ def test_output_stats_drops_zero_probability_outputs():
 
 def test_sum_rate_anchors():
     assert sum_rate(antidiag_channel(), [0.5, 0.5], [0.5, 0.5]) == 1.5
-    assert sum_rate(all_good_channel(2), ProbVector.uniform(4), ProbVector.uniform(4)) == 4.0
-    dead = sum_rate(all_bad_channel(2), ProbVector.uniform(4), ProbVector.uniform(4))
+    assert sum_rate(all_good_channel(2), uniform(4), uniform(4)) == 4.0
+    dead = sum_rate(all_bad_channel(2), uniform(4), uniform(4))
     assert dead == 0.0 and math.copysign(1.0, dead) == 1.0
 
 
@@ -197,7 +188,9 @@ def test_rate_triple_ordering_property(m, seed):
     channel = random_channel(m, seed)
     rng = np.random.default_rng(seed + 2)
     n = channel.n
-    triple = rate_triple(channel, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+    p1, p2 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    triple = rate_triple(channel, p1, p2)
+    assert abs(triple.i12 - sum_rate(channel, p1, p2)) <= 1e-12
     tol = 1e-9
     assert max(triple.i1, triple.i2) <= triple.i12 + tol
     assert triple.i12 <= triple.i1 + triple.i2 + tol
@@ -231,12 +224,12 @@ def test_alternating_maximization_monotone_sweeps():
     result = alternating_maximization(channel)
     values = result.sweep_values
     assert values == tuple(sorted(values))
-    assert result.value >= sum_rate(channel, ProbVector.uniform(4), ProbVector.uniform(4)) - 1e-12
+    assert result.value >= sum_rate(channel, uniform(4), uniform(4)) - 1e-12
 
 
 def test_alternating_maximization_accepts_inits():
     channel = antidiag_channel()
-    result = alternating_maximization(channel, init1=[0.9, 0.1], init2=[0.1, 0.9])
+    result = alternating_maximization(channel, init2=[0.1, 0.9])
     assert result.value <= 1.5 + 1e-9
 
 
@@ -332,9 +325,7 @@ def test_kkt_gap_bounds_one_more_step(m, seed, sweeps):
     channel = random_channel(m, seed)
     rng = np.random.default_rng(seed + 4)
     n = channel.n
-    result = alternating_maximization(
-        channel, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), max_iters=sweeps
-    )
+    result = alternating_maximization(channel, rng.dirichlet(np.ones(n)), max_iters=sweeps)
     u, v = result.p1.probs, result.p2.probs
     here = sum_rate(channel, u, v)
     _, better_u = _maximize_marginal(*good_products(channel, v))
@@ -391,8 +382,8 @@ def test_sum_rate_uniform_m13():
     bad = int(np.unpackbits(matrix.packed_rows).sum(dtype=np.int64))
     gamma = 1.0 - bad / 4**m
     expected = gamma * 2 * m - (1.0 - gamma) * math.log2(1.0 - gamma)
-    uniform = ProbVector.uniform(1 << m)
-    assert abs(sum_rate(channel, uniform, uniform) - expected) <= 1e-9
+    flat = uniform(1 << m)
+    assert abs(sum_rate(channel, flat, flat) - expected) <= 1e-9
 
 
 def test_maximize_sum_rate_deterministic():
@@ -405,6 +396,9 @@ def test_maximize_sum_rate_deterministic():
         maximize_sum_rate(channel, restarts=-1)
     with pytest.raises(ValueError):
         maximize_sum_rate(channel, max_iters=0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            maximize_sum_rate(channel, tol=tol)
 
 
 def test_maximize_sum_rate_restarts_never_hurt():

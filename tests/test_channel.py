@@ -1,18 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopcap import (
+from coopcap import ConstructionParams, construct_channel
+import coopcap.channel as chmod
+from coopcap.channel import (
+    _LISTED_FAILURES,
+    DEFAULT_MAX_M,
     ERASURE,
+    MAX_M_ENV_VAR,
     Channel,
     ChannelMatrix,
-    ConstructionParams,
     channel_from_matrix,
     check_block_goodness,
-    construct_channel,
     default_f,
     default_g,
     default_p,
@@ -23,8 +24,6 @@ from coopcap import (
     sample_matrix,
     serialize_channel,
 )
-import coopcap.channel as chmod
-from coopcap.channel import _LISTED_FAILURES, DEFAULT_MAX_M, MAX_M_ENV_VAR
 from coopcap.errors import (
     ChannelFormatError,
     ConstructionExhausted,
@@ -132,12 +131,8 @@ def test_matrix_round_trip_and_accessors():
         mat = ChannelMatrix.from_dense(dense)
         assert mat.m == m
         assert mat.n == 1 << m
-        assert mat.bit_length == 1 << (2 * m)
         assert np.array_equal(mat.to_dense(), dense)
-        assert np.array_equal(mat.bits, dense.reshape(-1))
         for i in range(mat.n):
-            assert np.array_equal(mat.row_bits(i + 1), dense[i])
-            assert np.array_equal(mat.col_bits(i + 1), dense[:, i])
             for j in range(mat.n):
                 assert mat.bit(i + 1, j + 1) == dense[i, j]
         x1, x2 = np.indices(dense.shape) + 1
@@ -220,13 +215,13 @@ def test_sample_matrix_deterministic():
 
 
 def test_sample_matrix_extremes():
-    assert not sample_matrix(3, 0.0, seed=0).bits.any()
-    assert sample_matrix(3, 1.0, seed=0).bits.all()
+    assert not sample_matrix(3, 0.0, seed=0).to_dense().any()
+    assert sample_matrix(3, 1.0, seed=0).to_dense().all()
 
 
 def test_sample_matrix_density_near_p():
     mat = sample_matrix(6, 0.3, seed=5)
-    frac = mat.bits.mean()
+    frac = mat.to_dense().mean()
     # 64*64 draws, sigma ~ 0.0072; allow 4 sigma
     assert abs(frac - 0.3) < 0.03
 
@@ -485,6 +480,8 @@ def test_construct_channel_attaches_density_report():
     assert ch.density_report.trials == 17
     bare = construct_channel(params, density_trials=0)
     assert bare.density_report is None
+    with pytest.raises(ValueError, match="density_trials"):
+        construct_channel(params, density_trials=-3)
 
 
 def test_construct_channel_exhaustion():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from coopcap import ChannelMatrix, channel_from_matrix, serialize_channel
+from coopcap.channel import ChannelMatrix, channel_from_matrix, serialize_channel
 from coopcap.cli import main
 
 
@@ -107,6 +107,18 @@ def test_construct_exhaustion_reports_error(tmp_path, capsys):
     assert "2 attempts" in err
 
 
+def test_construct_rejects_negative_density_trials(tmp_path, capsys):
+    path = tmp_path / "c.maccf"
+    code, out, err = run(
+        capsys, "construct", "--m", "3", "--p", "0.5", "--g", "2",
+        "--out", str(path), "--density-trials", "-3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: density_trials must be >= 0, got -3\n"
+    assert not path.exists()
+
+
 def test_verify_pass(stored_channel, capsys):
     code, out, _ = run(capsys, "verify", str(stored_channel))
     assert code == 0
@@ -149,6 +161,13 @@ def test_code_check_with_monte_carlo(stored_channel, capsys):
     assert out.strip().endswith("mc_trials=50 mc_error=0.000000")
 
 
+def test_code_check_rejects_negative_mc_trials(stored_channel, capsys):
+    code, out, err = run(capsys, "code-check", str(stored_channel), "--mc-trials", "-5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --mc-trials must be >= 0, got -5\n"
+
+
 def test_code_check_rejects_unverified_channel(tmp_path, capsys):
     path = broken_channel_file(tmp_path)
     code, _, err = run(capsys, "code-check", str(path))
@@ -178,6 +197,14 @@ def test_capacity_line_and_marginals(stored_channel, tmp_path, capsys):
     assert len(payload["p1"]) == 8 and len(payload["p2"]) == 8
     assert abs(sum(payload["p1"]) - 1.0) < 1e-9
     assert abs(float(match.group(1)) - payload["sum_rate"]) < 1e-6
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_capacity_rejects_nonpositive_tol(stored_channel, capsys, tol):
+    code, out, err = run(capsys, "capacity", str(stored_channel), "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol must be > 0, got ")
 
 
 def test_capacity_deterministic_stdout(stored_channel, capsys):
@@ -301,3 +328,17 @@ def test_sweep_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "missing.json"))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("m_values", 5), ("restarts", "8"), ("epsilon", "0.05"), ("p_override", "x")],
+)
+def test_sweep_config_of_wrong_type(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, **{key: value})
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key} must be ")
+    assert repr(value) in err
+    assert not (tmp_path / "out").exists()

@@ -4,23 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcap import (
-    ChannelMatrix,
     CfCode,
-    IeCode,
-    Orientation,
     ConstructionParams,
-    build_ie_code,
-    cf_decode,
-    cf_encode,
-    channel_from_matrix,
     construct_channel,
-    facilitator_output,
-    ie_decode,
-    ie_encode,
     monte_carlo_error,
     verify_zero_error,
 )
-from coopcap.channel import ERASURE
+from coopcap.channel import ERASURE, ChannelMatrix, channel_from_matrix
+from coopcap.coding import (
+    IeCode,
+    Orientation,
+    build_ie_code,
+    cf_decode,
+    cf_encode,
+    facilitator_output,
+    ie_decode,
+    ie_encode,
+)
 from coopcap.errors import InvariantViolation
 from oracles import (
     channel_apply,

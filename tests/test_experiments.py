@@ -6,19 +6,9 @@ from dataclasses import asdict
 
 import pytest
 
-from coopcap import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    ExperimentRecord,
-    cf_inner_region,
-    default_f,
-    default_g,
-    default_p,
-    deserialize_channel,
-    load_jsonl,
-    run_sweep,
-)
-from coopcap.experiments import export_csv
+from coopcap import ExperimentConfig, cf_inner_region, run_sweep
+from coopcap.channel import default_f, default_g, default_p, deserialize_channel
+from coopcap.experiments import CSV_COLUMNS, export_csv, load_jsonl
 
 
 def tiny_config(tmp_path, **overrides):

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import HypothesisViolation
 
@@ -311,7 +310,9 @@ def construction_failure_bounds(
                 - np.log(-np.expm1(-s)),
                 math.log(count),
             )
-        density = float(logsumexp(i * a + c * f_of_m + log_series)) / ln2
+        terms = i * a + c * f_of_m + log_series
+        top = terms.max()  # log-sum-exp shifted by the largest term
+        density = float(top + np.log(np.sum(np.exp(terms - top)))) / ln2
         enumerated = True
     else:
         # Corners in exact rationals, since 2^m leaves the float range past m = 1023.

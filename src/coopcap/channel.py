@@ -43,9 +43,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .bounds import construction_failure_bounds
 from .errors import (
@@ -53,6 +53,9 @@ from .errors import (
     ConstructionExhausted,
     MemoryCapExceeded,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ERASURE",
@@ -291,6 +294,8 @@ class ChannelMatrix:
         data = np.ones(nnz)
         for arr in (data, indices, indptr):
             arr.flags.writeable = False
+        from scipy import sparse  # only the good-entry products need scipy
+
         return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
     @classmethod

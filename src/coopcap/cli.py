@@ -123,6 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(option: str, value: int) -> None:
+    """Reject a seed numpy's default_rng would refuse, naming the option."""
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{option} must be an integer in [0, 2^64), got {value}")
+
+
 def _cmd_construct(args) -> int:
     params = ConstructionParams.with_defaults(
         args.m, epsilon=args.eps, seed=args.seed, p=args.p, f_of_m=args.f, g_of_m=args.g
@@ -165,6 +171,7 @@ def _cmd_verify(args) -> int:
 def _cmd_code_check(args) -> int:
     if args.mc_trials < 0:
         raise ValueError(f"--mc-trials must be >= 0, got {args.mc_trials}")
+    _check_seed("--mc-seed", args.mc_seed)
     channel = deserialize_channel(args.file)
     code = CfCode(channel, Orientation.parse(args.orientation))
     report = verify_zero_error(code)
@@ -180,6 +187,7 @@ def _cmd_code_check(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    _check_seed("--seed", args.seed)
     channel = deserialize_channel(args.file)
     result = maximize_sum_rate(
         channel,
@@ -209,10 +217,16 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     m, eps = args.m, args.eps
+    if m < 1:
+        raise ValueError(f"--m must be >= 1, got {m}")
     if not 0 <= eps < 1:
         raise ValueError(f"--eps must be in [0, 1), got {eps}")
     g = args.delta if args.delta is not None else default_g(m)
+    if not 1 <= g <= m:
+        raise ValueError(f"--delta must be in [1, m] with m={m}, got {g}")
     f = args.f if args.f is not None else default_f(m)
+    if not 1 <= f <= 1 << m:
+        raise ValueError(f"--f must be in [1, 2^m] with m={m}, got {f}")
     p = 1.0 - eps / 2
     inner = bounds_mod.cf_inner_region(m, g)
     outer = bounds_mod.cf_outer_region(m, float(g))

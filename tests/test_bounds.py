@@ -336,6 +336,42 @@ def test_density_bound_matches_chunked_logsumexp(m, eps, p, expected):
     assert round(bounds.density_bound_log2, 1) == expected
 
 
+def density_log2_scipy(m, p, f, epsilon):
+    """The exact branch's row sums, reduced by scipy.special.logsumexp."""
+    from scipy.special import logsumexp
+
+    n = 1 << m
+    count = n - f + 1
+    ln2 = math.log(2.0)
+    a = m * ln2
+    i = np.arange(f, n + 1, dtype=np.float64)
+    c = a - 2.0 * (p - 1.0 + epsilon) ** 2 * i
+    s = np.abs(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_series = np.where(
+            s > 0,
+            np.maximum(c, 0.0) * (count - 1)
+            + np.log(-np.expm1(-s * count))
+            - np.log(-np.expm1(-s)),
+            math.log(count),
+        )
+    return float(logsumexp(i * a + c * f + log_series)) / ln2
+
+
+def test_density_bound_matches_scipy_logsumexp():
+    mismatches = []
+    for m in range(1, 15):
+        for eps in (0.005, 0.05, 0.1, 0.3):
+            for p in (0.6, 0.85, 0.95, 0.975, 1.0):
+                for f in sorted({1, 1 << (m - 1), min(m * m, 1 << m)}):
+                    got = construction_failure_bounds(m, p, f, 1, eps)
+                    assert got.density_enumerated
+                    want = density_log2_scipy(m, p, f, eps)
+                    if abs(got.density_bound_log2 - want) > 1e-15 * abs(want):
+                        mismatches.append((m, eps, p, f, got.density_bound_log2, want))
+    assert not mismatches, mismatches
+
+
 def test_density_bound_past_exact_limit_over_estimates(monkeypatch):
     cases = [(m, p, eps) for m in (5, 8, 10) for p, eps in ((0.975, 0.05), (0.85, 0.3), (1.0, 0.0))]
     exact = {case: construction_failure_bounds(case[0], case[1], case[0] ** 2 // 4, 1, case[2])

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coopcap
 from coopcap.channel import ChannelMatrix, channel_from_matrix, serialize_channel
 from coopcap.cli import main
 
@@ -62,6 +67,59 @@ def test_unknown_command_and_flag(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "construct", "--m", "3", "--wat")[0] == 2
     assert run(capsys, "construct")[0] == 2  # missing required args
+
+
+# ----------------------------------------------------------------------
+# What a process loads
+# ----------------------------------------------------------------------
+
+_NUMPY_ONLY_SCRIPT = """
+import sys
+
+import numpy as np
+
+import coopcap, coopcap.cli
+from coopcap.channel import deserialize_channel
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+assert not scipy_modules(), scipy_modules()
+path = sys.argv[1]
+for argv in (
+    ["construct", "--m", "4", "--eps", "0.3", "--p", "0.5", "--g", "2", "--out", path],
+    ["verify", path],
+    ["code-check", path, "--mc-trials", "20"],
+    ["bounds", "--m", "4"],
+):
+    assert coopcap.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+
+from scipy import sparse
+
+channel = deserialize_channel(path)
+good = channel.matrix.good
+assert isinstance(good, sparse.csr_array), type(good)
+assert np.array_equal(good.toarray(), 1.0 - channel.matrix.to_dense())
+print("ok")
+"""
+
+
+def test_cli_commands_without_an_optimizer_load_no_scipy(tmp_path):
+    src = str(Path(coopcap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path / "c.maccf")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().endswith("ok")
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +226,17 @@ def test_code_check_rejects_negative_mc_trials(stored_channel, capsys):
     assert err == "error: --mc-trials must be >= 0, got -5\n"
 
 
+@pytest.mark.parametrize("seed", [-2, 1 << 64])
+def test_code_check_rejects_bad_mc_seed_before_reading(tmp_path, capsys, seed):
+    missing = tmp_path / "missing.maccf"
+    code, out, err = run(
+        capsys, "code-check", str(missing), "--mc-seed", str(seed), "--mc-trials", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --mc-seed must be an integer in [0, 2^64), got {seed}\n"
+
+
 def test_code_check_rejects_unverified_channel(tmp_path, capsys):
     path = broken_channel_file(tmp_path)
     code, _, err = run(capsys, "code-check", str(path))
@@ -205,6 +274,15 @@ def test_capacity_rejects_nonpositive_tol(stored_channel, capsys, tol):
     assert code == 1
     assert out == ""
     assert err.startswith("error: tol must be > 0, got ")
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_capacity_rejects_bad_seed_before_reading(tmp_path, capsys, seed):
+    missing = tmp_path / "missing.maccf"
+    code, out, err = run(capsys, "capacity", str(missing), "--seed", str(seed))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --seed must be an integer in [0, 2^64), got {seed}\n"
 
 
 def test_capacity_deterministic_stdout(stored_channel, capsys):
@@ -280,6 +358,23 @@ def test_bounds_invalid_delta(capsys):
     code, _, err = run(capsys, "bounds", "--m", "4", "--delta", "9")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m", "0"], "--m must be >= 1, got 0"),
+        (["--m", "3", "--f", "0"], "--f must be in [1, 2^m] with m=3, got 0"),
+        (["--m", "3", "--f", "9"], "--f must be in [1, 2^m] with m=3, got 9"),
+        (["--m", "3", "--delta", "0"], "--delta must be in [1, m] with m=3, got 0"),
+        (["--m", "3", "--delta", "4"], "--delta must be in [1, m] with m=3, got 4"),
+    ],
+)
+def test_bounds_rejects_out_of_range_arguments_without_notes(capsys, argv, message):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ override with the ``COOPCAP_MAX_M`` environment variable) guards against
 accidental huge allocations.
 
 The passes over a whole matrix (sampling, the good-entry pattern, the block
-check, the transpose behind column tables and the text read) run in row
+check, the column first-good tables and the text read) run in row
 strips of about 2^18 entries on a pool of one thread per core the process
 may use. Each strip writes its own part of the output or returns its part
 in strip order, so results are bit-identical for any strip size and thread
@@ -96,14 +96,6 @@ else:  # macOS and Windows have no affinity mask
 
 # Failures a BlockCheckResult lists; every failure is counted.
 _LISTED_FAILURES = 1000
-
-# Rows in a strip of the transpose are a multiple of this, because a strip
-# writes rows/8 contiguous bytes to every output row: at m = 14, strips of
-# 16 rows took twice as long as strips of 128. The three shift-and-mask
-# steps transpose an 8 x 8 bit block held in a 64-bit word (Warren,
-# Hacker's Delight, 7-3).
-_TRANSPOSE_ROWS = 128
-_TRANSPOSE_8X8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _strips(n: int, fn, align: int = 1) -> list:
@@ -462,56 +454,52 @@ def check_block_goodness(matrix: ChannelMatrix, g: int) -> BlockCheckResult:
     )
 
 
-def _transposed_rows(matrix: ChannelMatrix) -> np.ndarray:
-    """packed_rows of the transposed matrix. Each 8 x 8 block of bits moves
-    as one 64-bit word and is transposed inside it; each strip of rows
-    writes its own byte columns of the result."""
-    n, packed = matrix.n, matrix.packed_rows
-    if n < 8:
-        return np.packbits(matrix.to_dense().T, axis=1)
-    nb = n // 8
-    out = np.empty_like(packed)
-    out_blocks = out.reshape(nb, 8, nb)  # [byte column, row in block, row group]
-
-    def strip(lo, hi):
-        groups = (hi - lo) // 8
-        # word [i, j] holds rows 8i..8i+7 of byte column j, the first in its top byte
-        words = packed[lo:hi].reshape(groups, 8, nb).transpose(0, 2, 1)
-        x = np.ascontiguousarray(words).view(">u8")[..., 0].astype(np.uint64)
-        for shift, mask in _TRANSPOSE_8X8:
-            t = (x ^ (x >> shift)) & mask
-            x ^= t ^ (t << shift)
-        blocks = x.astype(">u8").view(np.uint8).reshape(groups, nb, 8)
-        out_blocks[:, :, lo // 8 : hi // 8] = blocks.transpose(1, 2, 0)
-
-    _strips(n, strip, align=_TRANSPOSE_ROWS)
-    return out
-
-
 def first_good(matrix: ChannelMatrix, g: int, axis: str) -> np.ndarray:
     """First good entry of every aligned 2^g block of every row or column.
 
     Entry [x, k] of the (2^m, 2^(m-g)) table is the 1-based offset in
     {1..2^g} of the first good entry in block k of row x + 1 (axis "row")
-    or column x + 1 (axis "col"), and 0 when that block is all bad. It is
-    read from the packed bytes: a block of whole bytes is all bad when every
-    byte is 0xFF, and a 256-entry table finds the first 0 bit in a byte or
-    in each of its sub-byte blocks. A column table reads the transposed
-    matrix, which costs one pass and a second packed copy.
+    or column x + 1 (axis "col"), and 0 when that block is all bad. Rows:
+    a block of whole bytes is all bad when every byte is 0xFF, and a
+    256-entry table finds the first 0 bit in a byte or in each of its
+    sub-byte blocks. Columns: each strip of whole 2^g-row bands ANDs its
+    rows down from the top, a strip's worth at a time, until no column is
+    still all bad; a column's entry is 1 + the rows that left it all bad.
     """
     m, n = matrix.m, matrix.n
     if not 1 <= g <= m:
         raise ValueError(f"g must be in [1, m={m}], got {g}")
     if axis not in ("row", "col"):
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-    packed = matrix.packed_rows if axis == "row" else _transposed_rows(matrix)
+    packed = matrix.packed_rows
+    width = 1 << g
+    dtype = np.uint16 if g < 16 else np.uint32
+    if axis == "col":
+        table = np.empty((n >> g, n), dtype=dtype)  # band-major, returned transposed
+        step = max(1, _STRIP_BITS // n)  # rows walked between stop tests
+
+        def col_strip(lo, hi):
+            bands = packed[lo:hi].reshape(-1, width, packed.shape[1])
+            first, bad = table[lo >> g : hi >> g], np.uint8(0xFF)
+            first[:] = 1  # 1 + the walked rows whose bad has bit c set
+            for r in range(0, width, step):
+                rows = bands[:, r : r + step] & bad  # bit c: column c all bad so far
+                for i in range(1, rows.shape[1]):
+                    rows[:, i] &= rows[:, i - 1]
+                first += np.unpackbits(rows, axis=2, count=n).sum(axis=1, dtype=dtype)
+                bad = rows[:, -1:]
+                if not bad.any():
+                    break
+            first *= np.unpackbits(~bad[:, 0], axis=1, count=n)  # 0: all bad to the end
+
+        _strips(n, col_strip, align=width)
+        return table.T
     if g <= 3:  # a byte holds 2^(3-g) whole blocks; padding blocks are dropped
-        return _FIRST_ZERO[1 << g][packed].reshape(n, -1)[:, : n >> g]
-    blocks = packed.reshape(n, n >> g, 1 << (g - 3))
+        return _FIRST_ZERO[width][packed].reshape(n, -1)[:, : n >> g]
+    blocks = packed.reshape(n, n >> g, width >> 3)
     first = np.argmax(blocks != 0xFF, axis=2)  # 0 when every byte is 0xFF
     z = _FIRST_ZERO[8][np.take_along_axis(blocks, first[..., None], axis=2)[..., 0], 0]
-    table = np.where(z > 0, 8 * first + z, 0)
-    return table.astype(np.uint16 if g < 16 else np.uint32)
+    return np.where(z > 0, 8 * first + z, 0).astype(dtype)
 
 
 def estimate_bad_density(
@@ -693,8 +681,14 @@ def _parse_header(data: bytes):
                 f"expected {key}=<value>, got {token!r}", offset=offset
             )
         raw = token[len(prefix):]
+        is_float = key in ("p", "eps")
+        # int() and float() also read "_", a leading "+" and whitespace, which
+        # the format does not define; an int is ASCII digits only
+        undefined = "_" in raw or raw[:1] == "+" or raw != raw.strip()
         try:
-            values[key] = float(raw) if key in ("p", "eps") else int(raw)
+            if undefined or not (is_float or raw.isdigit()):
+                raise ValueError(raw)
+            values[key] = float(raw) if is_float else int(raw)
         except ValueError as exc:
             raise ChannelFormatError(
                 f"bad value for {key}: {raw!r}", offset=offset + len(prefix)

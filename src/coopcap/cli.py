@@ -129,7 +129,16 @@ def _check_seed(option: str, value: int) -> None:
         raise ValueError(f"{option} must be an integer in [0, 2^64), got {value}")
 
 
+def _check_at_least(option: str, value: int, low: int) -> None:
+    """Reject a value below low, naming the option."""
+    if value < low:
+        raise ValueError(f"{option} must be >= {low}, got {value}")
+
+
 def _cmd_construct(args) -> int:
+    _check_at_least("--max-attempts", args.max_attempts, 1)
+    _check_at_least("--density-trials", args.density_trials, 0)
+    _check_seed("--seed", args.seed)
     params = ConstructionParams.with_defaults(
         args.m, epsilon=args.eps, seed=args.seed, p=args.p, f_of_m=args.f, g_of_m=args.g
     )
@@ -146,6 +155,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_at_least("--density-trials", args.density_trials, 1)
     channel = deserialize_channel(args.file, verify=False)
     block = check_block_goodness(channel.matrix, channel.g)
     line = f"block_property={'pass' if block.passed else 'fail'}"
@@ -169,8 +179,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_code_check(args) -> int:
-    if args.mc_trials < 0:
-        raise ValueError(f"--mc-trials must be >= 0, got {args.mc_trials}")
+    _check_at_least("--mc-trials", args.mc_trials, 0)
     _check_seed("--mc-seed", args.mc_seed)
     channel = deserialize_channel(args.file)
     code = CfCode(channel, Orientation.parse(args.orientation))
@@ -187,6 +196,10 @@ def _cmd_code_check(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    _check_at_least("--restarts", args.restarts, 0)
+    _check_at_least("--max-iters", args.max_iters, 1)
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be > 0, got {args.tol}")
     _check_seed("--seed", args.seed)
     channel = deserialize_channel(args.file)
     result = maximize_sum_rate(
@@ -217,8 +230,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     m, eps = args.m, args.eps
-    if m < 1:
-        raise ValueError(f"--m must be >= 1, got {m}")
+    _check_at_least("--m", m, 1)
     if not 0 <= eps < 1:
         raise ValueError(f"--eps must be in [0, 1), got {eps}")
     g = args.delta if args.delta is not None else default_g(m)

@@ -18,6 +18,5 @@ def many_strips(strip_bits=100, workers=3):
     with pytest.MonkeyPatch.context() as mp:
         if strip_bits is not None:
             mp.setattr(chmod, "_STRIP_BITS", strip_bits)
-            mp.setattr(chmod, "_TRANSPOSE_ROWS", 8)
         mp.setattr(chmod, "_WORKERS", workers)
         yield

@@ -396,13 +396,28 @@ def test_first_good_matches_dense_oracle(m, g, p, seed, strip_bits):
 
 
 def test_first_good_m13_bands():
-    # n = 8192: the transpose runs in many bands, and both the whole-byte
-    # (g >= 4) and the byte-table (g <= 3) readings see many blocks per row
-    matrix = sample_matrix(13, 0.97, seed=13)
-    dense = matrix.to_dense()
-    for g in (3, 8):
-        for axis in ("row", "col"):
-            assert np.array_equal(first_good(matrix, g, axis), first_good_oracle(dense, g, axis))
+    # n = 8192: the column walk runs over many strips, with several bands per
+    # strip at g <= 3, one band per strip and several stop tests per band at
+    # g = 8 and 12, and the whole matrix as one band at g = 13. Column 5 is
+    # good only in the last row, the last row of every g's last band, and
+    # column n - 3 is all bad. Rows are read as byte tables at g = 3 and as
+    # whole bytes at g = 8.
+    dense = sample_matrix(13, 0.97, seed=13).to_dense()
+    n = dense.shape[0]
+    dense[:, 5] = 1
+    dense[n - 1, 5] = 0
+    dense[:, n - 3] = 1
+    matrix = ChannelMatrix.from_dense(dense)
+    for g in (1, 3, 8, 12, 13):
+        width, bands = 1 << g, n >> g
+        cols = first_good(matrix, g, "col")
+        assert cols[5, bands - 1] == width and not cols[n - 3].any()
+        tables = {"col": cols}
+        if g in (3, 8):
+            tables["row"] = first_good(matrix, g, "row")
+        for axis, table in tables.items():
+            assert table.dtype == np.uint16 and table.shape == (n, bands)
+            assert np.array_equal(table, first_good_oracle(dense, g, axis))
 
 
 def test_first_good_validation():
@@ -589,13 +604,32 @@ def test_deserialize_header_errors(tmp_path):
         ("MACCF 1 q=1 p=0.5 eps=0.5 f=2 g=1 seed=0\n", 8),
         ("MACCF 1 m=one p=0.5 eps=0.5 f=2 g=1 seed=0\n", 10),
         ("MACCF 1 m=2 p=0.5 eps=0.5 f=2 g=3 seed=0\n", 0),  # g > m
+        # forms int() and float() read but the format does not define
+        ("MACCF 1 m=0_1 p=0.5 eps=0.5 f=2 g=1 seed=0\n", 10),
+        ("MACCF 1 m=+1 p=0.5 eps=0.5 f=2 g=1 seed=0\n", 10),
+        ("MACCF 1 m=-1 p=0.5 eps=0.5 f=2 g=1 seed=0\n", 10),
+        ("MACCF 1 m=1 p=5_0e-2 eps=0.5 f=2 g=1 seed=0\n", 14),
+        ("MACCF 1 m=1 p=+0.5 eps=0.5 f=2 g=1 seed=0\n", 14),
+        ("MACCF 1 m=1 p=0.5 eps=0.5\t f=2 g=1 seed=0\n", 22),
+        ("MACCF 1 m=1 p=0.5 eps=0.5 f=2 g=1 seed=0_0\n", 39),
     ]
     for text, offset in cases:
-        path = write_variant(tmp_path, text, b"0110" if "m=1" in text else b"")
+        # a valid m = 1 text body, so a header error is the only error
+        path = write_variant(tmp_path, text, b"01\n10\n" if text else b"")
         with pytest.raises(ChannelFormatError) as err:
             deserialize_channel(path)
         if offset is not None:
             assert err.value.offset == offset, text
+
+
+def test_serialized_headers_read_back(tmp_path):
+    # repr floats with exponents, trailing ".0" and many digits
+    matrix = dense_matrix([[0, 1], [1, 0]])
+    for p, eps in ((1e-05, 0.05), (1.0, 0.5), (0.0, 1e-300), (0.975, 0.1 + 0.2)):
+        channel = channel_from_matrix(matrix, g=1, p=p, epsilon=eps, seed=2**64 - 1)
+        for binary in (False, True):
+            _, loaded = roundtrip(tmp_path, channel, binary)
+            assert loaded.params == channel.params
 
 
 def test_deserialize_body_errors(tmp_path):

@@ -173,7 +173,23 @@ def test_construct_rejects_negative_density_trials(tmp_path, capsys):
     )
     assert code == 1
     assert out == ""
-    assert err == "error: density_trials must be >= 0, got -3\n"
+    assert err == "error: --density-trials must be >= 0, got -3\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-attempts", "0", "--max-attempts must be >= 1, got 0"),
+        ("--seed", "-1", "--seed must be an integer in [0, 2^64), got -1"),
+    ],
+)
+def test_construct_rejects_option_out_of_range(tmp_path, capsys, option, value, message):
+    path = tmp_path / "c.maccf"
+    code, out, err = run(capsys, "construct", "--m", "3", "--out", str(path), option, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
     assert not path.exists()
 
 
@@ -194,6 +210,14 @@ def test_verify_fail(tmp_path, capsys):
     line = out.strip()
     assert line.startswith("block_property=fail first_failure=row:1:0")
     assert "density_trials=5" in line
+
+
+def test_verify_rejects_zero_density_trials_before_reading(tmp_path, capsys):
+    missing = tmp_path / "missing.maccf"
+    code, out, err = run(capsys, "verify", str(missing), "--density-trials", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --density-trials must be >= 1, got 0\n"
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -269,11 +293,27 @@ def test_capacity_line_and_marginals(stored_channel, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-def test_capacity_rejects_nonpositive_tol(stored_channel, capsys, tol):
-    code, out, err = run(capsys, "capacity", str(stored_channel), "--tol", tol)
+def test_capacity_rejects_nonpositive_tol(tmp_path, capsys, tol):
+    missing = tmp_path / "missing.maccf"
+    code, out, err = run(capsys, "capacity", str(missing), "--tol", tol)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: tol must be > 0, got ")
+    assert err == f"error: --tol must be > 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--restarts", "-1", "--restarts must be >= 0, got -1"),
+        ("--max-iters", "0", "--max-iters must be >= 1, got 0"),
+    ],
+)
+def test_capacity_rejects_bad_counts_before_reading(tmp_path, capsys, option, value, message):
+    missing = tmp_path / "missing.maccf"
+    code, out, err = run(capsys, "capacity", str(missing), option, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])

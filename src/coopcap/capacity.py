@@ -22,6 +22,13 @@ multiplier (the Blahut-Arimoto step, as Rezaeian and Grant apply it to the
 multiple-access sum rate). The maximizer here alternates these exact
 updates over the two marginals.
 
+maximize_sum_rate runs all its starts in lockstep. The marginals of the R
+runs still open form an (R, n) block: each half-sweep is one product of
+the pattern with the stacked [p, p log2 p] columns of every run (a run's
+columns equal its own product exactly) and one batched update with one
+multiplier per run. A run leaves the block when a sweep gains less than
+tol or at max_iters, so it takes the sweeps it would take alone.
+
 The grid oracle cross-checks it on alphabets of at most 4 symbols: the
 best pair of pmfs on a 1/steps grid, with the result of a float32 scan of
 every pair. It scans few of them. With one marginal a fixed, H(Y) is the
@@ -52,6 +59,7 @@ from .errors import InvariantViolation
 __all__ = [
     "ProbVector",
     "AltMaxResult",
+    "StartRun",
     "BruteForceResult",
     "UniformDecomposition",
     "xlog2x",
@@ -70,9 +78,8 @@ _TINY = 1e-300  # floor inside logs; keeps gradients finite at the boundary
 def xlog2x(v):
     """Elementwise v * log2(v) with the 0 log 0 = 0 convention."""
     arr = np.asarray(v, dtype=np.float64)
-    out = np.zeros_like(arr)
-    mask = arr > 0
-    out[mask] = arr[mask] * np.log2(arr[mask])
+    pos = arr > 0
+    out = np.where(pos, arr * np.log2(np.where(pos, arr, 1.0)), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -126,14 +133,19 @@ def as_distribution(p, n: int | None = None) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _with_logs(p: np.ndarray) -> np.ndarray:
-    return np.column_stack([p, xlog2x(p)])
+def _products(op, p: np.ndarray, pl: np.ndarray) -> np.ndarray:
+    """op @ [p, pl] with pl = p log2 p, for the pmf p or for each row of an
+    (R, n) block p, as one (2R, n) block: rows :R are s, rows R: are t. A
+    row's s and t are exactly what the product with its own two columns
+    gives."""
+    return np.ascontiguousarray((op @ np.column_stack([p.T, pl.T])).T)
 
 
-def _entropy_from_products(u, ul, s, t) -> float:
-    gamma = float(u @ s)
-    erased = min(max(1.0 - gamma, 0.0), 1.0)
-    return float(0.0 - (ul @ s) - (u @ t) - xlog2x(erased))  # +0.0, never -0.0
+def _entropy_from_products(u, ul, s, t):
+    """H(Y) for each row of the (R, n) blocks u, ul = u log2 u, s and t (or
+    for one vector of each)."""
+    erased = np.clip(1.0 - np.vecdot(u, s), 0.0, 1.0)
+    return 0.0 - np.vecdot(ul, s) - np.vecdot(u, t) - xlog2x(erased)  # never -0.0
 
 
 def sum_rate(channel: Channel, p1, p2) -> float:
@@ -141,8 +153,8 @@ def sum_rate(channel: Channel, p1, p2) -> float:
     n = channel.n
     u = as_distribution(p1, n)
     v = as_distribution(p2, n)
-    st = channel.matrix.good @ _with_logs(v)
-    return _entropy_from_products(u, xlog2x(u), st[:, 0], st[:, 1])
+    s, t = _products(channel.matrix.good, v, xlog2x(v))
+    return float(_entropy_from_products(u, xlog2x(u), s, t))
 
 
 # ----------------------------------------------------------------------
@@ -151,8 +163,24 @@ def sum_rate(channel: Channel, p1, p2) -> float:
 
 
 @dataclass(frozen=True)
+class StartRun:
+    """One run of the alternating maximization: its start ("uniform",
+    "dirichlet", or "given" for a caller's init2), the value it reached, its
+    sweep count, whether its last sweep gained less than tol, and its
+    kkt_gap (see AltMaxResult)."""
+
+    start: str
+    value: float
+    sweeps: int
+    converged: bool
+    kkt_gap: float
+
+
+@dataclass(frozen=True)
 class AltMaxResult:
-    """kkt_gap certifies the returned pair: the larger over the two
+    """The best run's pair and figures, and every run in start order.
+
+    kkt_gap certifies the returned pair: the larger over the two
     marginals of the Frank-Wolfe gap (see _frank_wolfe_gap) with the other
     marginal held fixed, so no change of one marginal alone gains more."""
 
@@ -163,75 +191,162 @@ class AltMaxResult:
     converged: bool
     sweep_values: tuple[float, ...]
     kkt_gap: float
+    runs: tuple[StartRun, ...]
+
+    @property
+    def spread(self) -> float:
+        """The best run's value minus the worst run's."""
+        return self.value - min(run.value for run in self.runs)
 
 
-def _multiplier(c: np.ndarray, s: np.ndarray) -> float:
-    """Root of L(lam) = log2 sum_i 2^(c_i - lam / s_i), 0 < s_i < 1.
+def _multiplier(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Root of L(lam) = log2 sum_i 2^(c_i - lam / s_i), 0 < s_i < 1, for
+    each run, a row of the (R, k) blocks c and s; entries with c_i = -inf
+    are not terms of their run's sum.
 
     L is convex and decreasing. Alone, term i reaches 1 at lam = c_i s_i, so
     L >= 0 at the largest of these; at hi every one of the k terms is at
     most 1/k, so L <= 0. Newton from the left end climbs to the root without
-    overshooting; a step that leaves the bracket bisects instead.
+    overshooting; a step that leaves the bracket bisects instead. A run
+    leaves the iteration at its own stop, so it takes the steps it would
+    take alone.
     """
-    lo = float(np.max(c * s))
-    hi = float(np.max((c + np.log2(c.size)) * s))
-    lam = lo
+    lo = np.max(c * s, axis=1)
+    hi = np.max((c + np.log2(np.isfinite(c).sum(axis=1))[:, None]) * s, axis=1)
+    lam = lo.copy()
+    root = np.empty_like(lam)
+    rows = np.arange(lam.size)
+    inv = 1.0 / s
     for _ in range(200):
-        a = c - lam / s
-        top = a.max()
-        e = np.exp2(a - top)
-        value = top + np.log2(e.sum())
-        if value == 0:
-            return lam
-        lo, hi = (lam, hi) if value > 0 else (lo, lam)
-        nxt = lam + value * e.sum() / (e @ (1.0 / s))
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - lam) <= 1e-15 * max(1.0, abs(lam)):
-            return nxt
+        a = c - lam[:, None] * inv
+        top = a.max(axis=1)
+        e = np.exp2(a - top[:, None])
+        total = e.sum(axis=1)
+        value = top + np.log2(total)  # at value == 0 the step below is 0 and lam stops
+        rising = value > 0
+        np.copyto(lo, lam, where=rising)
+        np.copyto(hi, lam, where=~rising)
+        nxt = lam + value * total / np.vecdot(e, inv)
+        np.copyto(nxt, 0.5 * (lo + hi), where=~((lo <= nxt) & (nxt <= hi)))
+        done = np.abs(nxt - lam) <= 1e-15 * np.maximum(1.0, np.abs(lam))
         lam = nxt
-    return lam
+        if np.count_nonzero(done):
+            root[rows[done]] = lam[done]
+            going = ~done
+            if not going.any():
+                return root
+            rows, c, inv = rows[going], c[going], inv[going]
+            lam, lo, hi = lam[going], lo[going], hi[going]
+    root[rows] = lam
+    return root
 
 
 def _maximize_marginal(s, t):
-    """Exact maximizer u of the concave one-marginal objective, and its value.
+    """Exact maximizer u of the concave one-marginal objective for each run,
+    a row of the (R, n) blocks s and t.
 
     Where s_i > 0, stationarity gives u_i = (1 - gamma) 2^(-(t_i + lam) / s_i),
     and the masses sum to 1 with gamma = u . s exactly when
-    sum_i (1 - s_i) 2^(-(t_i + lam) / s_i) = 1, which fixes lam. Rows with
-    s_i = 0 have zero gradient: they take mass only when that root is
-    negative, and then lam = 0 and they share what the other rows leave.
-    When every s_i = 1 nothing erases and u is proportional to 2^(-t_i).
+    sum_i (1 - s_i) 2^(-(t_i + lam) / s_i) = 1, which fixes lam. Symbols
+    with s_i = 0 have zero gradient: they take mass only when that root is
+    negative, and then lam = 0 and they share what the other symbols leave
+    (all of it when every s_i = 0: u is uniform and scores 0). When every
+    s_i = 1 nothing erases and u is proportional to 2^(-t_i).
     """
     s = np.minimum(s, 1.0)  # rounding can push a full row's sum past 1
-    n = s.size
     live = s > 0
-    if not live.any():  # every input erases, so every u scores 0
-        u = np.full(n, 1.0 / n)
-        return u, _entropy_from_products(u, xlog2x(u), s, t)
-    sl = s[live]
-    base = -t[live] / sl  # log2 of the weights at lam = 0
-    erasing = sl < 1.0
-    c = base[erasing] + np.log2(1.0 - sl[erasing])
-    lam, zero_share, zeros = 0.0, -np.inf, n - sl.size  # log2 of a zero row's weight
-    log_rest = c.max() + np.log2(np.exp2(c - c.max()).sum()) if c.size else -np.inf
-    if zeros and log_rest < 0:
-        zero_share = np.log2(-np.expm1(log_rest * np.log(2.0)) / zeros)
-    elif c.size:
-        lam = _multiplier(c, sl[erasing])
-    ell = np.full(n, zero_share)
-    ell[live] = base - lam / sl
-    u = np.exp2(ell - ell.max())
-    u /= u.sum()
-    return u, _entropy_from_products(u, xlog2x(u), s, t)
+    sl = np.where(live, s, 1.0)
+    base = -t / sl  # log2 of the weights at lam = 0
+    with np.errstate(divide="ignore"):  # log2(0) = -inf: full symbols erase nothing
+        c = np.where(live, base + np.log2(1.0 - s), -np.inf)  # -inf: not a term
+        top = c.max(axis=1)
+        has_c = np.isfinite(top)
+        shift = np.where(has_c, top, 0.0)[:, None]
+        log_rest = shift[:, 0] + np.log2(np.exp2(c - shift).sum(axis=1))
+    zeros = s.shape[1] - np.count_nonzero(live, axis=1)
+    shared = (zeros > 0) & (log_rest < 0)
+    zero_share = np.full(s.shape[0], -np.inf)  # log2 of a zero symbol's weight
+    zero_share[shared] = np.log2(-np.expm1(log_rest[shared] * np.log(2.0)) / zeros[shared])
+    lam = np.zeros(s.shape[0])
+    solve = has_c & ~shared
+    if solve.any():
+        lam[solve] = _multiplier(c[solve], sl[solve])
+    ell = np.where(live, base - lam[:, None] / sl, zero_share[:, None])
+    u = np.exp2(ell - ell.max(axis=1, keepdims=True))
+    u /= u.sum(axis=1, keepdims=True)
+    return u
 
 
-def _frank_wolfe_gap(u, s, t) -> float:
-    """max_i grad_i - u . grad of the one-marginal objective at u; it bounds
-    what any other u can gain, since the objective is concave."""
-    gamma = float(u @ s)
-    grad = s * (np.log2(max(1.0 - gamma, _TINY)) - np.log2(np.maximum(u, _TINY))) - t
-    return float(grad.max() - u @ grad)
+def _frank_wolfe_gap(u, s, t) -> np.ndarray:
+    """max_i grad_i - u . grad of the one-marginal objective at each row of
+    u; it bounds what any other u can gain, since the objective is concave."""
+    erased = np.maximum(1.0 - np.vecdot(u, s), _TINY)
+    grad = s * (np.log2(erased)[:, None] - np.log2(np.maximum(u, _TINY))) - t
+    return grad.max(axis=1) - np.vecdot(u, grad)
+
+
+def _lockstep(channel: Channel, init2: np.ndarray, starts, max_iters: int, tol: float):
+    """Alternating runs from the rows of init2, all at once.
+
+    Each half-sweep is one product of the good-entry pattern with
+    [V | V log2 V] for every open run, and one batched marginal step. A
+    run closes when a sweep gains < tol or after max_iters sweeps, and its
+    kkt_gap is taken then. The best run wins, the first one on a tie.
+    """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    count, n = init2.shape
+    good = channel.matrix.good
+    good_t = good.T  # a new view per .T, so take it once
+    u = np.full((count, n), 1.0 / n)
+    row = _products(good, init2, xlog2x(init2))
+    value = _entropy_from_products(u, xlog2x(u), row[:count], row[count:])
+    p1, p2 = np.empty((count, n)), np.empty((count, n))
+    runs = [None] * count
+    history = [[] for _ in range(count)]
+    open_runs = np.arange(count)
+    for sweep in range(1, max_iters + 1):
+        k = open_runs.size
+        u = _maximize_marginal(row[:k], row[k:])
+        col = _products(good_t, u, xlog2x(u))
+        v = _maximize_marginal(col[:k], col[k:])
+        vl = xlog2x(v)
+        new_value = _entropy_from_products(v, vl, col[:k], col[k:])
+        row = _products(good, v, vl)
+        for run, gained in zip(open_runs.tolist(), new_value.tolist()):
+            history[run].append(gained)
+        converged = new_value - value < tol
+        value = np.where(converged, np.maximum(value, new_value), new_value)
+        closing = converged | (sweep == max_iters)
+        if not closing.any():
+            continue
+        done = np.flatnonzero(closing)
+        gaps = np.maximum(
+            _frank_wolfe_gap(u[done], row[done], row[done + k]),
+            _frank_wolfe_gap(v[done], col[done], col[done + k]),
+        )
+        for j, gap in zip(done.tolist(), gaps.tolist()):
+            run = open_runs[j]
+            p1[run], p2[run] = u[j], v[j]
+            runs[run] = StartRun(starts[run], float(value[j]), sweep, bool(converged[j]), gap)
+        going = np.flatnonzero(~closing)
+        if not going.size:
+            break
+        open_runs, value = open_runs[going], value[going]
+        row = row[np.concatenate([going, going + k])]
+    best = int(np.argmax([run.value for run in runs]))  # the first on a tie
+    return AltMaxResult(
+        p1=ProbVector(p1[best]),
+        p2=ProbVector(p2[best]),
+        value=runs[best].value,
+        iterations=runs[best].sweeps,
+        converged=runs[best].converged,
+        sweep_values=tuple(history[best]),
+        kkt_gap=runs[best].kkt_gap,
+        runs=tuple(runs),
+    )
 
 
 def alternating_maximization(
@@ -247,47 +362,13 @@ def alternating_maximization(
     optimum, which need not be the global product-distribution optimum;
     see maximize_sum_rate for restarts. p1 starts uniform: the first update
     replaces it by its best response to init2 (uniform when None), so it
-    only sets the starting value.
+    only sets the starting value. This is maximize_sum_rate's solver with
+    one start.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     n = channel.n
-    u = np.full(n, 1.0 / n)
-    v = as_distribution(init2, n) if init2 is not None else u
-    good = channel.matrix.good
-    good_t = good.T  # a new view per .T, so take it once per run
-    row = good @ _with_logs(v)
-    value = _entropy_from_products(u, xlog2x(u), row[:, 0], row[:, 1])
-    sweep_values = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        u, _ = _maximize_marginal(row[:, 0], row[:, 1])
-        col = good_t @ _with_logs(u)
-        v, new_value = _maximize_marginal(col[:, 0], col[:, 1])
-        row = good @ _with_logs(v)
-        sweep_values.append(new_value)
-        if new_value - value < tol:
-            value = max(value, new_value)
-            converged = True
-            break
-        value = new_value
-    kkt_gap = max(
-        _frank_wolfe_gap(u, row[:, 0], row[:, 1]),
-        _frank_wolfe_gap(v, col[:, 0], col[:, 1]),
-    )
-    return AltMaxResult(
-        p1=ProbVector(u),
-        p2=ProbVector(v),
-        value=value,
-        iterations=iterations,
-        converged=converged,
-        sweep_values=tuple(sweep_values),
-        kkt_gap=kkt_gap,
-    )
+    if init2 is None:
+        return _lockstep(channel, np.full((1, n), 1.0 / n), ("uniform",), max_iters, tol)
+    return _lockstep(channel, as_distribution(init2, n)[None], ("given",), max_iters, tol)
 
 
 def maximize_sum_rate(
@@ -298,18 +379,22 @@ def maximize_sum_rate(
     tol: float = 1e-8,
 ) -> AltMaxResult:
     """Best alternating-maximization run from uniform plus random restarts,
-    each from one Dirichlet draw of p2."""
+    each from one Dirichlet draw of p2 (drawn in order from one generator
+    seeded with seed).
+
+    The runs go in lockstep: each half-sweep makes one product of the
+    good-entry pattern with the marginals of every run still open, and
+    one batched marginal step. Each run takes the sweeps it takes alone
+    and closes at its own stop. `runs` lists them all in start order; the
+    first with the largest value is returned.
+    """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    best = alternating_maximization(channel, max_iters=max_iters, tol=tol)
-    rng = np.random.default_rng(seed)
     n = channel.n
-    for _ in range(restarts):
-        init2 = rng.dirichlet(np.ones(n))
-        run = alternating_maximization(channel, init2, max_iters=max_iters, tol=tol)
-        if run.value > best.value:
-            best = run
-    return best
+    rng = np.random.default_rng(seed)
+    init2 = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for _ in range(restarts)]
+    starts = ("uniform",) + ("dirichlet",) * restarts
+    return _lockstep(channel, np.array(init2), starts, max_iters, tol)
 
 
 # ----------------------------------------------------------------------

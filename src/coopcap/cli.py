@@ -136,6 +136,16 @@ def _check_at_least(option: str, value: int, low: int) -> None:
 
 
 def _cmd_construct(args) -> int:
+    m = args.m
+    _check_at_least("--m", m, 1)
+    if not 0 < args.eps < 1:
+        raise ValueError(f"--eps must be in (0, 1), got {args.eps}")
+    if args.p is not None and not 0 <= args.p <= 1:
+        raise ValueError(f"--p must be in [0, 1], got {args.p}")
+    if args.g is not None and not 1 <= args.g <= m:
+        raise ValueError(f"--g must be in [1, m] with m={m}, got {args.g}")
+    if args.f is not None and not 1 <= args.f <= 1 << m:
+        raise ValueError(f"--f must be in [1, 2^m] with m={m}, got {args.f}")
     _check_at_least("--max-attempts", args.max_attempts, 1)
     _check_at_least("--density-trials", args.density_trials, 0)
     _check_seed("--seed", args.seed)
@@ -220,10 +230,12 @@ def _cmd_capacity(args) -> int:
                 fh,
             )
             fh.write("\n")
+    runs_converged = sum(run.converged for run in result.runs)
     print(
         f"sum_rate={_fmt(result.value)} converged={str(result.converged).lower()}"
         f" restarts={args.restarts} sweeps={result.iterations}"
-        f" kkt_gap={result.kkt_gap:.3e}"
+        f" kkt_gap={result.kkt_gap:.3e} spread={_fmt(result.spread)}"
+        f" runs_converged={runs_converged}/{len(result.runs)}"
     )
     return 0
 

@@ -6,8 +6,9 @@ no-facilitator sum rate with the alternating optimizer, and evaluate the
 closed-form bounds. The measured gap (facilitator rate minus optimizer
 estimate) over-estimates the true gap, since the optimizer only lower
 bounds the no-facilitator sum capacity; the JSON records carry whether
-the optimizer converged, its sweep count and its KKT gap so readers can
-judge the estimate.
+the optimizer converged, its sweep count and its KKT gap, and every
+optimizer run with the spread of their values, so readers can judge the
+estimate.
 
 Persistence: channels under channels/ (binary), records.jsonl started
 fresh by each run and one JSON line appended per record as soon as the row
@@ -188,8 +189,10 @@ class ExperimentRecord:
     """One sweep row. delta is the facilitator link rate, equal to the
     block exponent g the channel was built with. converged, sweeps and
     kkt_gap describe the optimizer run behind ie_estimate (see
-    AltMaxResult); they go to the JSON lines, not the CSV. When error is
-    set the row failed at some phase and later numeric fields hold nan."""
+    AltMaxResult); runs lists every optimizer run in start order (see
+    StartRun), and spread is the best run's value minus the worst's. These
+    go to the JSON lines, not the CSV. When error is set the row failed at
+    some phase and later numeric fields hold nan."""
 
     m: int
     g: int
@@ -212,6 +215,8 @@ class ExperimentRecord:
     converged: bool = False
     sweeps: int = 0
     kkt_gap: float = float("nan")
+    runs: list = field(default_factory=list)
+    spread: float = float("nan")
 
 
 def _failed_record(params: ConstructionParams, message: str) -> ExperimentRecord:
@@ -293,6 +298,8 @@ def _run_row(config: ExperimentConfig, index: int, channels_dir: Path) -> Experi
         converged=opt.converged,
         sweeps=opt.iterations,
         kkt_gap=opt.kkt_gap,
+        runs=[asdict(run) for run in opt.runs],
+        spread=opt.spread,
     )
 
 

@@ -1,9 +1,10 @@
 """Scalar reference implementations that the package's array code is
 checked against. They read the definitions one pair, one block or one
 output at a time (the grid oracle scores every pair, a chunk of rows at a
-time; the hull oracle scans a grid of x), and share no code path with the
-package beyond its dataclasses and sum_rate, which gives the grid oracle's
-reported value.
+time; the hull oracle scans a grid of x; the alternating oracle runs one
+start with a scalar marginal update), and share no code path with the
+package beyond its dataclasses, xlog2x, and sum_rate, which gives the grid
+oracle's reported value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ from itertools import combinations
 import numpy as np
 
 from coopcap import CfCode, sum_rate
-from coopcap.capacity import BruteForceResult, ProbVector, as_distribution
+from coopcap.capacity import (
+    AltMaxResult,
+    BruteForceResult,
+    ProbVector,
+    StartRun,
+    as_distribution,
+    xlog2x,
+)
 from coopcap.channel import ERASURE
 from coopcap.coding import IeCode, Orientation
 from coopcap.errors import InvariantViolation
@@ -51,10 +59,21 @@ def channel_apply(channel, x1, x2):
 
 
 def first_good_oracle(dense, g, axis):
-    """Dense argmax reading of the first-good table."""
-    lines = dense if axis == "row" else np.ascontiguousarray(dense.T)
-    blocks = lines.reshape(lines.shape[0], -1, 1 << g) == 0
-    return np.where(blocks.any(axis=2), blocks.argmax(axis=2) + 1, 0)
+    """Dense reading of the first-good table: entry (line, k) is 1 plus the
+    offset of the first good entry in aligned block k of that row or
+    column, or 0. Offsets are visited last to first, each good entry
+    overwriting; one visit reads that offset of every block of every line.
+    Columns come from dense viewed as (bands, 2^g, n), with no transposed
+    copy."""
+    n, width = dense.shape[0], 1 << g
+    if axis == "row":
+        by_offset = dense.reshape(n, n >> g, width).transpose(2, 0, 1)  # [offset, line, block]
+    else:
+        by_offset = dense.reshape(n >> g, width, n).transpose(1, 0, 2)  # [offset, block, line]
+    table = np.zeros(by_offset.shape[1:], dtype=np.uint16)
+    for offset in range(width - 1, -1, -1):
+        np.copyto(table, offset + 1, where=by_offset[offset] == 0)
+    return table if axis == "row" else table.T
 
 
 # ----------------------------------------------------------------------
@@ -311,3 +330,134 @@ def brute_force_oracle(channel, grid_steps):
             best, best_pair = scores[r, c], (lo + r, c)
     p1, p2 = (ProbVector(comps[k] / grid_steps) for k in best_pair)
     return BruteForceResult(value=sum_rate(channel, p1, p2), p1=p1, p2=p2)
+
+
+# ----------------------------------------------------------------------
+# Alternating maximization, one run at a time
+# ----------------------------------------------------------------------
+
+
+def _with_logs(p):
+    return np.column_stack([p, xlog2x(p)])
+
+
+def _entropy_from_products(u, ul, s, t) -> float:
+    gamma = float(u @ s)
+    erased = min(max(1.0 - gamma, 0.0), 1.0)
+    return float(0.0 - (ul @ s) - (u @ t) - xlog2x(erased))  # +0.0, never -0.0
+
+
+def multiplier_oracle(c, s) -> float:
+    """Root of L(lam) = log2 sum_i 2^(c_i - lam / s_i), 0 < s_i < 1.
+
+    L is convex and decreasing. Alone, term i reaches 1 at lam = c_i s_i, so
+    L >= 0 at the largest of these; at hi every one of the k terms is at
+    most 1/k, so L <= 0. Newton from the left end climbs to the root without
+    overshooting; a step that leaves the bracket bisects instead.
+    """
+    lo = float(np.max(c * s))
+    hi = float(np.max((c + np.log2(c.size)) * s))
+    lam = lo
+    for _ in range(200):
+        a = c - lam / s
+        top = a.max()
+        e = np.exp2(a - top)
+        value = top + np.log2(e.sum())
+        if value == 0:
+            return lam
+        lo, hi = (lam, hi) if value > 0 else (lo, lam)
+        nxt = lam + value * e.sum() / (e @ (1.0 / s))
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - lam) <= 1e-15 * max(1.0, abs(lam)):
+            return nxt
+        lam = nxt
+    return lam
+
+
+def maximize_marginal_oracle(s, t):
+    """Exact maximizer u of the concave one-marginal objective for one
+    vector pair (s, t), and its value.
+
+    Where s_i > 0, stationarity gives u_i = (1 - gamma) 2^(-(t_i + lam) / s_i),
+    and the masses sum to 1 with gamma = u . s exactly when
+    sum_i (1 - s_i) 2^(-(t_i + lam) / s_i) = 1, which fixes lam. Rows with
+    s_i = 0 have zero gradient: they take mass only when that root is
+    negative, and then lam = 0 and they share what the other rows leave.
+    When every s_i = 1 nothing erases and u is proportional to 2^(-t_i).
+    """
+    s = np.minimum(s, 1.0)  # rounding can push a full row's sum past 1
+    n = s.size
+    live = s > 0
+    if not live.any():  # every input erases, so every u scores 0
+        u = np.full(n, 1.0 / n)
+        return u, _entropy_from_products(u, xlog2x(u), s, t)
+    sl = s[live]
+    base = -t[live] / sl  # log2 of the weights at lam = 0
+    erasing = sl < 1.0
+    c = base[erasing] + np.log2(1.0 - sl[erasing])
+    lam, zero_share, zeros = 0.0, -np.inf, n - sl.size  # log2 of a zero row's weight
+    log_rest = c.max() + np.log2(np.exp2(c - c.max()).sum()) if c.size else -np.inf
+    if zeros and log_rest < 0:
+        zero_share = np.log2(-np.expm1(log_rest * np.log(2.0)) / zeros)
+    elif c.size:
+        lam = multiplier_oracle(c, sl[erasing])
+    ell = np.full(n, zero_share)
+    ell[live] = base - lam / sl
+    u = np.exp2(ell - ell.max())
+    u /= u.sum()
+    return u, _entropy_from_products(u, xlog2x(u), s, t)
+
+
+def _frank_wolfe_gap(u, s, t) -> float:
+    gamma = float(u @ s)
+    grad = s * (np.log2(max(1.0 - gamma, 1e-300)) - np.log2(np.maximum(u, 1e-300))) - t
+    return float(grad.max() - u @ grad)
+
+
+def alternating_maximization_oracle(
+    channel,
+    init2=None,
+    max_iters: int = 100,
+    tol: float = 1e-8,
+) -> AltMaxResult:
+    """One alternating run, one vector product per half-sweep: exact best
+    responses over p1 and p2 from p1 uniform and p2 = init2 (uniform when
+    None), until a sweep gains < tol or max_iters sweeps have run."""
+    n = channel.n
+    u = np.full(n, 1.0 / n)
+    v = as_distribution(init2, n) if init2 is not None else u
+    good = channel.matrix.good
+    good_t = good.T
+    row = good @ _with_logs(v)
+    value = _entropy_from_products(u, xlog2x(u), row[:, 0], row[:, 1])
+    sweep_values = []
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        u, _ = maximize_marginal_oracle(row[:, 0], row[:, 1])
+        col = good_t @ _with_logs(u)
+        v, new_value = maximize_marginal_oracle(col[:, 0], col[:, 1])
+        row = good @ _with_logs(v)
+        sweep_values.append(new_value)
+        if new_value - value < tol:
+            value = max(value, new_value)
+            converged = True
+            break
+        value = new_value
+    kkt_gap = max(
+        _frank_wolfe_gap(u, row[:, 0], row[:, 1]),
+        _frank_wolfe_gap(v, col[:, 0], col[:, 1]),
+    )
+    start = "uniform" if init2 is None else "given"
+    return AltMaxResult(
+        p1=ProbVector(u),
+        p2=ProbVector(v),
+        value=value,
+        iterations=iterations,
+        converged=converged,
+        sweep_values=tuple(sweep_values),
+        kkt_gap=kkt_gap,
+        runs=(StartRun(start, value, iterations, converged, kkt_gap),),
+    )

@@ -14,6 +14,7 @@ from coopcap.capacity import (
     ProbVector,
     UniformDecomposition,
     _ba_step,
+    _entropy_from_products,
     _first_best_pair,
     _fixed_stats,
     _maximize_marginal,
@@ -24,8 +25,23 @@ from coopcap.capacity import (
     tail_mass_bound,
     xlog2x,
 )
-from coopcap.channel import ERASURE, ChannelMatrix, channel_from_matrix, sample_matrix
-from oracles import brute_force_oracle, grid_score_chunks, output_stats, rate_triple, uniform
+from coopcap.channel import (
+    ERASURE,
+    ChannelMatrix,
+    ConstructionParams,
+    channel_from_matrix,
+    construct_channel,
+    sample_matrix,
+)
+from oracles import (
+    alternating_maximization_oracle,
+    brute_force_oracle,
+    grid_score_chunks,
+    maximize_marginal_oracle,
+    output_stats,
+    rate_triple,
+    uniform,
+)
 from strips import STRIP_BITS, many_strips
 
 
@@ -233,6 +249,14 @@ def test_alternating_maximization_accepts_inits():
     assert result.value <= 1.5 + 1e-9
 
 
+def best_responses(s, t):
+    """The batched exact update for the rows of the blocks s and t, and the
+    value the solver scores each row's update with."""
+    s, t = np.atleast_2d(s), np.atleast_2d(t)
+    u = _maximize_marginal(s, t)
+    return u, _entropy_from_products(u, xlog2x(u), s, t)
+
+
 def good_products(channel, p, transpose=False):
     """(good @ p, good @ xlog2x(p)) from the dense matrix, apart from the
     package's operator; good.T with transpose=True."""
@@ -289,13 +313,17 @@ def test_exact_update_is_the_best_response(m, seed):
     rng = np.random.default_rng(seed)
     channel = random_channel(m, seed, density=rng.uniform(0.1, 0.9))
     n = channel.n
+    others, blocks = [], []
     for transpose in (False, True):
         other = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)  # some zero masses
         if other.sum() == 0:
             other[rng.integers(n)] = 1.0
         other /= other.sum()
-        s, t = good_products(channel, other, transpose)
-        u, value = _maximize_marginal(s, t)
+        others.append(other)
+        blocks.append(good_products(channel, other, transpose))
+    # both orientations go through the update as one two-row block
+    us, values = best_responses(*(np.array(rows) for rows in zip(*blocks)))
+    for transpose, other, (s, t), u, value in zip((False, True), others, blocks, us, values):
         assert u.min() >= 0.0 and abs(u.sum() - 1.0) <= 1e-12
         pair = (other, u) if transpose else (u, other)
         assert abs(value - dict_entropy(output_stats(channel, *pair).y_distribution)) <= 1e-9
@@ -308,14 +336,15 @@ def test_exact_update_is_the_best_response(m, seed):
 def test_exact_update_edge_cases():
     # every s_i = 1: nothing erases and u is proportional to 2^(-t_i)
     t = np.array([-1.0, -2.0, 0.0])
-    u, _ = _maximize_marginal(np.ones(3), t)
+    (u,), _ = best_responses(np.ones(3), t)
     assert np.allclose(u, [2 / 7, 4 / 7, 1 / 7], rtol=0, atol=1e-15)
     # a row with s_i = 0 next to one with s_i = 1: they split like an
     # erasure against one good output, half and half
-    u, value = _maximize_marginal(np.array([1.0, 0.0]), np.zeros(2))
+    (u,), (value,) = best_responses(np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(u, [0.5, 0.5], rtol=0, atol=1e-15) and abs(value - 1.0) <= 1e-15
     # every s_i = 0: all inputs erase
-    u, value = _maximize_marginal(np.zeros(4), np.zeros(4))
+    (u,), (value,) = best_responses(np.zeros(4), np.zeros(4))
+    assert np.array_equal(u, np.full(4, 0.25))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -328,8 +357,8 @@ def test_kkt_gap_bounds_one_more_step(m, seed, sweeps):
     result = alternating_maximization(channel, rng.dirichlet(np.ones(n)), max_iters=sweeps)
     u, v = result.p1.probs, result.p2.probs
     here = sum_rate(channel, u, v)
-    _, better_u = _maximize_marginal(*good_products(channel, v))
-    _, better_v = _maximize_marginal(*good_products(channel, u, transpose=True))
+    _, (better_u,) = best_responses(*good_products(channel, v))
+    _, (better_v,) = best_responses(*good_products(channel, u, transpose=True))
     assert result.kkt_gap >= 0.0
     assert result.kkt_gap >= max(better_u, better_v) - here - 1e-12
 
@@ -406,6 +435,83 @@ def test_maximize_sum_rate_restarts_never_hurt():
     base = maximize_sum_rate(channel, restarts=0)
     more = maximize_sum_rate(channel, restarts=4, seed=1)
     assert more.value >= base.value - 1e-12
+
+
+def sweep_channel(m):
+    """The channel a sweep with config seed 0, eps 0.05 and p_override 0.85
+    builds at width m; at m = 12 also the capacity benchmark's channel."""
+    return construct_channel(ConstructionParams.with_defaults(m, epsilon=0.05, seed=m, p=0.85))
+
+
+@pytest.mark.parametrize("m, restarts", [(6, 8), (8, 8), (10, 8), (12, 0)])
+def test_lockstep_runs_match_one_run_oracle(m, restarts):
+    # every run of the lockstep solve against the same start run alone
+    channel = sweep_channel(m)
+    result = maximize_sum_rate(channel, restarts=restarts, seed=20000 + m)
+    rng = np.random.default_rng(20000 + m)
+    inits = [None] + [rng.dirichlet(np.ones(channel.n)) for _ in range(restarts)]
+    alone = [alternating_maximization_oracle(channel, init2) for init2 in inits]
+    assert [run.start for run in result.runs] == ["uniform"] + ["dirichlet"] * restarts
+    best = alone[0]
+    for run, ref in zip(result.runs, alone, strict=True):
+        assert (run.sweeps, run.converged) == (ref.iterations, ref.converged)
+        assert abs(run.value - ref.value) <= 1e-12
+        assert abs(run.kkt_gap - ref.kkt_gap) <= 1e-12
+        best = ref if ref.value > best.value else best
+    assert (result.iterations, result.converged) == (best.iterations, best.converged)
+    assert abs(result.value - best.value) <= 1e-12
+    for got, want in ((result.p1, best.p1), (result.p2, best.p2)):
+        assert np.abs(got.probs - want.probs).max() <= 1e-12
+    assert np.abs(np.subtract(result.sweep_values, best.sweep_values)).max() <= 1e-12
+    assert result.spread == result.value - min(run.value for run in result.runs) >= 0.0
+    if m == 6:  # the uniform start stalls; the Dirichlet starts converge
+        assert (result.runs[0].sweeps, result.runs[0].converged) == (100, False)
+
+
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1), st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_one_start_matches_one_run_oracle(m, seed, max_iters):
+    channel = random_channel(m, seed, density=np.random.default_rng(seed).uniform(0.1, 0.9))
+    init2 = np.random.default_rng(seed + 1).dirichlet(np.ones(channel.n))
+    for start in (None, init2):
+        got = alternating_maximization(channel, start, max_iters=max_iters)
+        want = alternating_maximization_oracle(channel, start, max_iters=max_iters)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert [run.start for run in got.runs] == [run.start for run in want.runs]
+        assert abs(got.value - want.value) <= 1e-12
+        assert abs(got.kkt_gap - want.kkt_gap) <= 1e-12
+        for a, b in ((got.p1, want.p1), (got.p2, want.p2)):
+            assert np.abs(a.probs - b.probs).max() <= 1e-12
+
+
+def test_mixed_block_takes_every_branch():
+    # One block, one row per branch of the update, each against the update
+    # solved alone: s = 0 entries beside erasing ones (Newton, the s = 0
+    # entries get nothing), full entries beside erasing ones (one rounded
+    # past 1), a zero share (the erasing entries leave mass that the s = 0
+    # entries split), an ordinary row, every entry full, every entry zero.
+    rng = np.random.default_rng(3)
+    n = 8
+    s = rng.uniform(0.05, 0.95, size=(6, n))
+    s[0, :3] = 0.0
+    s[1, :3] = [1.0, 1.0, 1.0 + 2.0**-52]
+    s[2] = [0.9, 0.95, 0.0, 0.0, 0.97, 0.0, 0.99, 0.0]
+    s[4] = 1.0
+    s[5] = 0.0
+    t = np.minimum(s, 1.0) * np.log2(rng.uniform(0.2, 1.0, size=(6, n)))
+    u, values = best_responses(s, t)
+    for k in range(6):
+        want_u, want_value = maximize_marginal_oracle(s[k], t[k])
+        assert np.abs(u[k] - want_u).max() <= 1e-12
+        assert abs(values[k] - want_value) <= 1e-12
+    assert np.all(u[0, :3] == 0.0) and np.all(u[0, 3:] > 0.0)
+    assert np.all(u[2, s[2] == 0] > 0.0)
+    assert np.array_equal(u[5], np.full(n, 1.0 / n)) and values[5] == 0.0
+
+
+def test_no_restarts_is_the_one_start_call():
+    channel = random_channel(3, seed=11)
+    assert maximize_sum_rate(channel, restarts=0, seed=5) == alternating_maximization(channel)
 
 
 # ----------------------------------------------------------------------
@@ -567,9 +673,8 @@ def test_grid_bounds_hold_after_every_step(case):
     channel, comps, steps = case
     dense = 1.0 - channel.matrix.to_dense()
     for (s, t), transpose in zip(_fixed_stats(dense, comps, steps), (True, False)):
-        best = np.array(
-            [_maximize_marginal(*good_products(channel, c / steps, transpose))[1] for c in comps]
-        )
+        products = [good_products(channel, c / steps, transpose) for c in comps]
+        _, best = best_responses(*(np.array(rows) for rows in zip(*products)))
         b = np.full(s.shape, 1.0 / s.shape[1])
         for _ in range(50):
             upper, lower, b = _ba_step(s, t, b)

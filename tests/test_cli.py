@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 import coopcap
-from coopcap.channel import ChannelMatrix, channel_from_matrix, serialize_channel
-from coopcap.cli import main
+from coopcap.channel import (
+    ChannelMatrix,
+    channel_from_matrix,
+    deserialize_channel,
+    serialize_channel,
+)
+from coopcap.cli import _fmt, main
 
 
 def run(capsys, *argv):
@@ -182,6 +187,11 @@ def test_construct_rejects_negative_density_trials(tmp_path, capsys):
     [
         ("--max-attempts", "0", "--max-attempts must be >= 1, got 0"),
         ("--seed", "-1", "--seed must be an integer in [0, 2^64), got -1"),
+        ("--m", "0", "--m must be >= 1, got 0"),
+        ("--g", "5", "--g must be in [1, m] with m=3, got 5"),
+        ("--p", "2", "--p must be in [0, 1], got 2.0"),
+        ("--eps", "1", "--eps must be in (0, 1), got 1.0"),
+        ("--f", "9", "--f must be in [1, 2^m] with m=3, got 9"),
     ],
 )
 def test_construct_rejects_option_out_of_range(tmp_path, capsys, option, value, message):
@@ -281,10 +291,14 @@ def test_capacity_line_and_marginals(stored_channel, tmp_path, capsys):
     assert code == 0
     match = re.fullmatch(
         r"sum_rate=([\d.]+) converged=(true|false) restarts=2"
-        r" sweeps=([1-9]\d*) kkt_gap=(\d\.\d{3}e[+-]\d{2})",
+        r" sweeps=([1-9]\d*) kkt_gap=(\d\.\d{3}e[+-]\d{2})"
+        r" spread=([\d.]+) runs_converged=(\d)/3",
         out.strip(),
     )
     assert match
+    result = coopcap.maximize_sum_rate(deserialize_channel(stored_channel), restarts=2, seed=3)
+    assert match.group(5) == _fmt(result.spread)
+    assert int(match.group(6)) == sum(run.converged for run in result.runs)
     payload = json.loads(marg.read_text())
     assert set(payload) == {"p1", "p2", "sum_rate"}
     assert len(payload["p1"]) == 8 and len(payload["p2"]) == 8

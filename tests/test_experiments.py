@@ -205,6 +205,14 @@ def test_sweep_records_optimizer_certificate(tmp_path):
         assert row["converged"] is record.converged is True
         assert row["sweeps"] == record.sweeps >= 1
         assert row["kkt_gap"] == record.kkt_gap >= 0.0
+        # every run of the uniform start and the one restart, in start order
+        assert row["runs"] == record.runs
+        assert [run["start"] for run in row["runs"]] == ["uniform", "dirichlet"]
+        values = [run["value"] for run in row["runs"]]
+        assert record.ie_estimate == max(values)
+        assert row["spread"] == record.spread == max(values) - min(values)
+        best = row["runs"][values.index(max(values))]
+        assert (best["sweeps"], best["converged"]) == (record.sweeps, record.converged)
     with open(out / "records.csv") as fh:
         assert next(csv.reader(fh)) == list(CSV_COLUMNS)
 

@@ -15,7 +15,9 @@ s_i = sum_j good(i, j) p2(j) and t_i = sum_j good(i, j) p2(j) log2 p2(j),
            - (1 - gamma) log2(1 - gamma),      gamma = p1 . s,
 
 so for fixed p2 the objective is an O(n) function of p1 after one product
-of the sparse good-entry pattern (ChannelMatrix.good) with [p2, p2 log2 p2].
+of the sparse good-entry pattern with [p2, p2 log2 p2]. sum_rate makes its
+one product strip by strip (ChannelMatrix.good_product); the optimizer
+repeats products, so it uses the cached pattern (ChannelMatrix.good).
 It is concave in p1 (the output law is affine in p1 and entropy is
 concave), with a maximizer in closed form up to one scalar
 multiplier (the Blahut-Arimoto step, as Rezaeian and Grant apply it to the
@@ -149,11 +151,17 @@ def _entropy_from_products(u, ul, s, t):
 
 
 def sum_rate(channel: Channel, p1, p2) -> float:
-    """I(X1, X2; Y) = H(Y) in bits for independent inputs p1, p2."""
+    """I(X1, X2; Y) = H(Y) in bits for independent inputs p1, p2.
+
+    The one product with the good-entry pattern streams by strips of rows and
+    leaves ChannelMatrix.good unbuilt; the value is bit-identical to the
+    optimizer's, which uses the cached pattern.
+    """
     n = channel.n
     u = as_distribution(p1, n)
     v = as_distribution(p2, n)
-    s, t = _products(channel.matrix.good, v, xlog2x(v))
+    product = channel.matrix.good_product(np.column_stack([v, xlog2x(v)]))
+    s, t = np.ascontiguousarray(product.T)  # contiguous rows, as _products gives
     return float(_entropy_from_products(u, xlog2x(u), s, t))
 
 

@@ -18,14 +18,18 @@ matrix costs ``2^(2m) / 8`` bytes. A configurable cap on ``m`` (default 14,
 override with the ``COOPCAP_MAX_M`` environment variable) guards against
 accidental huge allocations.
 
-The passes over a whole matrix (sampling, the good-entry pattern, the block
-check, the column first-good tables and the text read) run in row
-strips of about 2^18 entries on a pool of one thread per core the process
+The passes over a whole matrix (sampling, the good-entry pattern and the
+one-shot product with it, the block check, the first-good tables and the
+text read) run in row strips of about 2^18 entries (2^18 packed bytes for
+the row first-good tables) on a pool of one thread per core the process
 may use. Each strip writes its own part of the output or returns its part
 in strip order, so results are bit-identical for any strip size and thread
 count, and the transient memory is a few strips' worth on top of the
 output. A matrix of at most 2^18 entries (m <= 9) is one strip and runs on
-the calling thread.
+the calling thread. No pass over a regular file holds the whole file: the
+text read takes each strip's rows from its own offset through the one open
+handle, and the text write unpacks and writes about 2^18 entries at a time,
+front to back, so it may write to a pipe.
 
 File format MACCF/1: a single ASCII header line
 
@@ -38,8 +42,11 @@ within each byte). Readers detect the body variant by its exact length.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import stat
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,15 +105,16 @@ else:  # macOS and Windows have no affinity mask
 _LISTED_FAILURES = 1000
 
 
-def _strips(n: int, fn, align: int = 1) -> list:
+def _strips(n: int, fn, align: int = 1, row_items: int | None = None) -> list:
     """[fn(lo, hi) for every strip [lo, hi) of the rows 0..n], in strip order.
 
-    A strip holds about _STRIP_BITS entries of an n-column matrix, in a
-    multiple of align rows (the last strip may be shorter). The strips run
-    on _WORKERS threads; numpy releases the interpreter lock in the calls
-    that do the work. A single strip runs inline.
+    A strip holds about _STRIP_BITS items of rows of row_items items each
+    (n matrix entries by default; a pass over the packed bytes alone counts
+    bytes), in a multiple of align rows (the last strip may be shorter). The
+    strips run on _WORKERS threads; numpy releases the interpreter lock in
+    the calls that do the work. A single strip runs inline.
     """
-    rows = max(align, _STRIP_BITS // n // align * align)
+    rows = max(align, _STRIP_BITS // (row_items or n) // align * align)
     bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     if len(bounds) == 1 or _WORKERS == 1:
         return [fn(lo, hi) for lo, hi in bounds]
@@ -222,6 +230,7 @@ class ChannelMatrix:
     within each byte) is entry (i+1, j+1). Padding bits past column 2^m must
     be zero. Arrays are frozen after construction; good, the sparse pattern
     of good entries, is built on first use and lives as long as the matrix.
+    good_product makes one product with it without building it.
     """
 
     m: int
@@ -259,6 +268,22 @@ class ChannelMatrix:
         """Full (2^m, 2^m) uint8 matrix. Materializes a copy."""
         return np.unpackbits(self.packed_rows, axis=1, count=self.n)
 
+    def _good_columns(self, lo: int, hi: int) -> np.ndarray:
+        """Columns of the good entries of rows [lo, hi), row by row, each
+        row's in increasing order: the indices of their CSR rows."""
+        n = self.n
+        # padding bits of the inverted bytes are ones; count=n drops them.
+        # nonzero scans a bool array much faster than a uint8 one.
+        good = np.unpackbits(~self.packed_rows[lo:hi], axis=1, count=n).view(bool)
+        flat = np.flatnonzero(good)
+        flat &= n - 1  # flat position -> column, since n is a power of two
+        return flat
+
+    def _good_counts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Good entries in each of rows [lo, hi); padding bits are zero."""
+        rows = self.packed_rows[lo:hi]
+        return self.n - np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+
     @cached_property
     def good(self) -> sparse.csr_array:
         """Good-entry indicator: a read-only float64 CSR array, 1.0 where the
@@ -266,21 +291,15 @@ class ChannelMatrix:
         (see _strips) writes its own slice of indices on its own thread;
         the transient memory is a few strips' worth, not the matrix's."""
         n = self.n
-        counts = n - np.bitwise_count(self.packed_rows).sum(axis=1, dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(self._good_counts(), out=indptr[1:])
         nnz = int(indptr[-1])
         index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
         indptr = indptr.astype(index_dtype)
         indices = np.empty(nnz, dtype=index_dtype)
 
         def strip(lo, hi):
-            # padding bits of the inverted bytes are ones; count=n drops them.
-            # nonzero scans a bool array much faster than a uint8 one.
-            good = np.unpackbits(~self.packed_rows[lo:hi], axis=1, count=n).view(bool)
-            flat = np.flatnonzero(good)
-            flat &= n - 1  # flat position -> column, since n is a power of two
-            indices[indptr[lo] : indptr[hi]] = flat
+            indices[indptr[lo] : indptr[hi]] = self._good_columns(lo, hi)
 
         _strips(n, strip)
         data = np.ones(nnz)
@@ -289,6 +308,30 @@ class ChannelMatrix:
         from scipy import sparse  # only the good-entry products need scipy
 
         return sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+    def good_product(self, x) -> np.ndarray:
+        """good @ x for a vector or an (n, k) array x, without building good:
+        each strip of rows makes the CSR of its own rows and writes its rows
+        of the product. A row sums its entries in column order, as in good,
+        so the result is bit-identical to good @ x. For a one-shot product;
+        repeated products share the cached good."""
+        from scipy import sparse
+
+        n = self.n
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty(x.shape)
+
+        def strip(lo, hi):
+            indptr = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(self._good_counts(lo, hi), out=indptr[1:])
+            indices = self._good_columns(lo, hi)
+            rows = sparse.csr_array(
+                (np.ones(indices.size), indices, indptr), shape=(hi - lo, n)
+            )
+            out[lo:hi] = rows @ x
+
+        _strips(n, strip)
+        return out
 
     @classmethod
     def from_dense(cls, arr) -> "ChannelMatrix":
@@ -459,12 +502,13 @@ def first_good(matrix: ChannelMatrix, g: int, axis: str) -> np.ndarray:
 
     Entry [x, k] of the (2^m, 2^(m-g)) table is the 1-based offset in
     {1..2^g} of the first good entry in block k of row x + 1 (axis "row")
-    or column x + 1 (axis "col"), and 0 when that block is all bad. Rows:
-    a block of whole bytes is all bad when every byte is 0xFF, and a
-    256-entry table finds the first 0 bit in a byte or in each of its
-    sub-byte blocks. Columns: each strip of whole 2^g-row bands ANDs its
-    rows down from the top, a strip's worth at a time, until no column is
-    still all bad; a column's entry is 1 + the rows that left it all bad.
+    or column x + 1 (axis "col"), and 0 when that block is all bad. Rows,
+    by strips: a block of whole bytes is all bad when every byte is 0xFF,
+    argmax finds its first other byte, and a 256-entry table finds the
+    first 0 bit in a byte or in each of its sub-byte blocks. Columns: each
+    strip of whole 2^g-row bands ANDs its rows down from the top, a strip's
+    worth at a time, until no column is still all bad; a column's entry is
+    1 + the rows that left it all bad.
     """
     m, n = matrix.m, matrix.n
     if not 1 <= g <= m:
@@ -494,12 +538,21 @@ def first_good(matrix: ChannelMatrix, g: int, axis: str) -> np.ndarray:
 
         _strips(n, col_strip, align=width)
         return table.T
-    if g <= 3:  # a byte holds 2^(3-g) whole blocks; padding blocks are dropped
-        return _FIRST_ZERO[width][packed].reshape(n, -1)[:, : n >> g]
-    blocks = packed.reshape(n, n >> g, width >> 3)
-    first = np.argmax(blocks != 0xFF, axis=2)  # 0 when every byte is 0xFF
-    z = _FIRST_ZERO[8][np.take_along_axis(blocks, first[..., None], axis=2)[..., 0], 0]
-    return np.where(z > 0, 8 * first + z, 0).astype(dtype)
+    table = np.empty((n, n >> g), dtype=dtype)
+
+    def row_strip(lo, hi):
+        rows = packed[lo:hi]
+        if g <= 3:  # a byte holds 2^(3-g) whole blocks; padding blocks are dropped
+            table[lo:hi] = _FIRST_ZERO[width][rows].reshape(hi - lo, -1)[:, : n >> g]
+            return
+        blocks = rows.reshape(hi - lo, n >> g, width >> 3)
+        first = np.argmax(blocks != 0xFF, axis=2)  # 0 when every byte is 0xFF
+        byte = np.take_along_axis(blocks, first[..., None], axis=2)[..., 0]
+        z = _FIRST_ZERO[8][byte, 0]
+        table[lo:hi] = np.where(z > 0, 8 * first + z, 0)
+
+    _strips(n, row_strip, row_items=packed.shape[1])  # a few numpy calls per strip
+    return table
 
 
 def estimate_bad_density(
@@ -631,24 +684,28 @@ def _format_header(params: ConstructionParams) -> str:
 
 
 def serialize_channel(channel: Channel, path, *, binary: bool = False) -> None:
-    """Write the channel to path in MACCF/1 text (default) or binary form."""
+    """Write the channel to path in MACCF/1 text (default) or binary form.
+
+    The file is written front to back through one handle, so path may be a
+    pipe. A text body is unpacked about _STRIP_BITS entries at a time, so a
+    large matrix never fully unpacks at once.
+    """
     matrix = channel.matrix
     n = matrix.n
     with open(path, "wb") as fh:
         fh.write(_format_header(channel.params).encode("ascii"))
         if binary:
             if n % 8 == 0:
-                fh.write(matrix.packed_rows.tobytes())
+                fh.write(matrix.packed_rows)  # the packed rows are the body
             else:
                 fh.write(np.packbits(matrix.to_dense()).tobytes())
-        else:
-            # Stream row chunks so a large matrix never fully unpacks at once.
-            chunk = max(1, (1 << 22) // n)
-            for lo in range(0, n, chunk):
-                dense = np.unpackbits(matrix.packed_rows[lo : lo + chunk], axis=1, count=n)
-                block = np.full((dense.shape[0], n + 1), ord("\n"), dtype=np.uint8)
-                block[:, :n] = dense + ord("0")
-                fh.write(block.tobytes())
+            return
+        rows = max(1, _STRIP_BITS // n)
+        for lo in range(0, n, rows):
+            bits = np.unpackbits(matrix.packed_rows[lo : lo + rows], axis=1, count=n)
+            block = np.full((bits.shape[0], n + 1), ord("\n"), dtype=np.uint8)
+            np.add(bits, ord("0"), out=block[:, :n])
+            fh.write(block)
 
 
 def _parse_header(data: bytes):
@@ -708,59 +765,86 @@ def _parse_header(data: bytes):
     return params, nl + 1
 
 
+def _read_at(fh, offset: int, out: np.ndarray) -> None:
+    """Fill the uint8 array out with the bytes of the open file fh from
+    offset on."""
+    fh.seek(offset)
+    got = fh.readinto(out)
+    if got < out.size:  # the length was checked, so the file shrank since
+        raise ChannelFormatError("file ended while being read", offset=offset + got)
+
+
+def _read_body(src, m: int, body_start: int, body_size: int) -> ChannelMatrix:
+    """The matrix of the body of body_size bytes at body_start in the open
+    file src, or the format error for its length or its first bad byte."""
+    n = 1 << m
+    packed_size = (n * n + 7) // 8
+    if body_size == packed_size:
+        body = np.empty(packed_size, dtype=np.uint8)
+        _read_at(src, body_start, body)
+        if n % 8 == 0:  # the body is packed_rows already
+            packed = body.reshape(n, n // 8)
+        else:
+            packed = np.packbits(np.unpackbits(body, count=n * n).reshape(n, n), axis=1)
+        return ChannelMatrix(m=m, packed_rows=packed)
+    if body_size not in (n * (n + 1), n * (n + 1) - 1):
+        raise ChannelFormatError(
+            f"body has {body_size} bytes; expected {packed_size} (binary) or "
+            f"{n * (n + 1)} / {n * (n + 1) - 1} (text)",
+            offset=body_start,
+        )
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    lock = threading.Lock()  # the strips share src and its position
+
+    def strip(lo, hi):
+        """Pack rows [lo, hi), or raise the error for their first bad byte."""
+        grid = np.empty((hi - lo, n + 1), dtype=np.uint8)
+        grid[-1, n] = ord("\n")  # the last row's newline is optional
+        size = min(grid.size, body_size - lo * (n + 1))
+        with lock:
+            _read_at(src, body_start + lo * (n + 1), grid.reshape(-1)[:size])
+        bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
+        bad_chars = bits.max(axis=1) > 1
+        bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))
+        if bad.size:
+            i = int(bad[0])
+            start = body_start + (lo + i) * (n + 1)
+            if bad_chars[i]:
+                raise ChannelFormatError(
+                    f"row {lo + i + 1} is not {n} characters of 0/1",
+                    offset=start + int(np.argmax(bits[i] > 1)),
+                )
+            raise ChannelFormatError(
+                f"row {lo + i + 1} not terminated by newline", offset=start + n
+            )
+        packed[lo:hi] = np.packbits(bits, axis=1)
+
+    # strips raise in strip order, so the first bad byte in file order wins
+    _strips(n, strip)
+    return ChannelMatrix(m=m, packed_rows=packed)
+
+
 def deserialize_channel(path, *, verify: bool = True) -> Channel:
     """Read a MACCF/1 file back into a Channel.
 
     Round-trips matrix bits and params exactly. The block check is re-run
     when verify is true (the format does not persist verification state);
-    the density report is not recomputed.
+    the density report is not recomputed. The file is opened once. A regular
+    file's body length comes from the file system; a binary body is read
+    into the packed rows and a text body by strips of rows, each into its
+    own buffer, so the file is never held in memory whole. Any other input
+    (a pipe, say) has no length to ask for and is read whole.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    params, body_start = _parse_header(data)
-    _require_within_cap(params.m)
-    n = 1 << params.m
-    body = np.frombuffer(data, dtype=np.uint8, offset=body_start)  # a view, no copy
-    packed_size = (n * n + 7) // 8
-    if len(body) == packed_size:
-        if n % 8 == 0:  # the body is packed_rows already
-            packed = body.reshape(n, n // 8)
+        line = fh.readline()
+        params, body_start = _parse_header(line)
+        _require_within_cap(params.m)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            src, body_size = fh, info.st_size - body_start
         else:
-            packed = np.packbits(np.unpackbits(body, count=n * n).reshape(n, n), axis=1)
-        matrix = ChannelMatrix(m=params.m, packed_rows=packed)
-    elif len(body) in (n * (n + 1), n * (n + 1) - 1):
-        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-
-        def strip(lo, hi):
-            """Pack rows [lo, hi), or raise the error for their first bad byte."""
-            grid = body[lo * (n + 1) : hi * (n + 1)]
-            if len(grid) < (hi - lo) * (n + 1):  # the last row's newline is optional
-                grid = np.append(grid, np.uint8(ord("\n")))
-            grid = grid.reshape(hi - lo, n + 1)
-            bits = grid[:, :n] - ord("0")  # every byte but "0" and "1" wraps above 1
-            bad_chars = bits.max(axis=1) > 1
-            bad = np.flatnonzero(bad_chars | (grid[:, n] != ord("\n")))
-            if bad.size:
-                i = int(bad[0])
-                start = body_start + (lo + i) * (n + 1)
-                if bad_chars[i]:
-                    raise ChannelFormatError(
-                        f"row {lo + i + 1} is not {n} characters of 0/1",
-                        offset=start + int(np.argmax(bits[i] > 1)),
-                    )
-                raise ChannelFormatError(
-                    f"row {lo + i + 1} not terminated by newline", offset=start + n
-                )
-            packed[lo:hi] = np.packbits(bits, axis=1)
-
-        # strips raise in strip order, so the first bad byte in file order wins
-        _strips(n, strip)
-        matrix = ChannelMatrix(m=params.m, packed_rows=packed)
-    else:
-        raise ChannelFormatError(
-            f"body has {len(body)} bytes; expected {packed_size} (binary) or "
-            f"{n * (n + 1)} / {n * (n + 1) - 1} (text)",
-            offset=body_start,
-        )
+            data = line + fh.read()
+            src, body_size = io.BytesIO(data), len(data) - body_start
+        matrix = _read_body(src, params.m, body_start, body_size)
     verified = check_block_goodness(matrix, params.g_of_m).passed if verify else False
     return Channel(matrix=matrix, params=params, block_property_verified=verified)

@@ -53,6 +53,22 @@ def row_bits(matrix, x1):
     return np.unpackbits(matrix.packed_rows[x1 - 1], count=matrix.n)
 
 
+def maccf_bytes_oracle(channel, binary):
+    """The MACCF/1 file of channel, written from the whole matrix unpacked
+    at once: the header line, then the row-major bits packed eight to a
+    byte or as text rows of 0/1 each ended by a newline."""
+    p = channel.params
+    header = (
+        f"MACCF 1 m={p.m} p={p.p!r} eps={p.epsilon!r} f={p.f_of_m} g={p.g_of_m} "
+        f"seed={p.seed}\n"
+    ).encode("ascii")
+    dense = channel.matrix.to_dense()
+    if binary:
+        return header + np.packbits(dense).tobytes()
+    newlines = np.full((dense.shape[0], 1), ord("\n"), dtype=np.uint8)
+    return header + np.hstack([dense + ord("0"), newlines]).astype(np.uint8).tobytes()
+
+
 def channel_apply(channel, x1, x2):
     """Send (x1, x2) once: the pair itself on a good entry, else ERASURE."""
     return (x1, x2) if row_bits(channel.matrix, x1)[x2 - 1] == 0 else ERASURE

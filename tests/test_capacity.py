@@ -403,6 +403,31 @@ def test_good_pattern_products_match_dense(m, seed, kind, strip_bits):
         assert np.allclose(product, np.column_stack([s, t]), rtol=0, atol=1e-13)
 
 
+@given(
+    st.integers(1, 8),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(STRIP_BITS),
+    st.sampled_from([1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_sum_rate_streams_the_cached_pattern_product(m, seed, strip_bits, workers):
+    # the one-shot product leaves good unbuilt and matches both the dense
+    # output law and, bit for bit, the optimizer's product with good
+    rng = np.random.default_rng(seed)
+    channel = random_channel(m, seed, density=rng.uniform(0.05, 0.95))
+    p1, p2 = rng.dirichlet(np.ones(channel.n), size=2)
+    p2[1:][rng.random(channel.n - 1) < 0.3] = 0.0  # zeros, never all of them
+    p2 /= p2.sum()
+    with many_strips(strip_bits, workers):
+        value = sum_rate(channel, p1, p2)
+    assert "good" not in channel.matrix.__dict__
+    law = np.outer(p1, p2)[channel.matrix.to_dense() == 0]
+    dense = -float(xlog2x(law).sum()) - xlog2x(max(1.0 - float(law.sum()), 0.0))
+    assert abs(value - dense) <= 1e-12
+    s, t = capacity._products(channel.matrix.good, p2, xlog2x(p2))
+    assert value == float(_entropy_from_products(p1, xlog2x(p1), s, t))
+
+
 def test_sum_rate_uniform_m13():
     # n = 8192: the good pattern is built in 256 strips of 32 rows on the worker threads
     m = 13

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,13 @@ from coopcap.errors import (
     ConstructionExhausted,
     MemoryCapExceeded,
 )
-from oracles import channel_apply, col_block_bits, first_good_oracle, row_block_bits
+from oracles import (
+    channel_apply,
+    col_block_bits,
+    first_good_oracle,
+    maccf_bytes_oracle,
+    row_block_bits,
+)
 from strips import STRIP_BITS, many_strips
 
 
@@ -365,6 +373,32 @@ def test_block_check_matches_oracle(m, seed, g, p, strip_bits):
     assert result.failure_count == len(oracle)
     assert result.failures == tuple(oracle[:_LISTED_FAILURES])
     assert result.passed == (not oracle)
+
+
+# ----------------------------------------------------------------------
+# Good-entry pattern
+# ----------------------------------------------------------------------
+
+
+def test_good_product_matches_cached_pattern():
+    # m = 1 and 2 have padding bits (n % 8 != 0); x is a vector or has 1, 2
+    # or 18 columns; the pattern is cached only after the streamed products
+    rng = np.random.default_rng(7)
+    matrices = [sample_matrix(m, 0.3 + 0.06 * m, seed=m) for m in range(1, 11)]
+    matrices += [ChannelMatrix.from_dense(np.full((4, 4), b, np.uint8)) for b in (0, 1)]
+    for matrix in matrices:
+        n = matrix.n
+        xs = [rng.random(n)] + [rng.random((n, k)) for k in (1, 2, 18)]
+        streamed = []
+        for strip_bits in STRIP_BITS:
+            for workers in (1, 3):
+                with many_strips(strip_bits, workers):
+                    streamed.append([matrix.good_product(x) for x in xs])
+        assert "good" not in matrix.__dict__
+        expected = [matrix.good @ x for x in xs]
+        for products in streamed:
+            for product, want in zip(products, expected):
+                assert product.shape == want.shape and np.array_equal(product, want)
 
 
 # ----------------------------------------------------------------------
@@ -714,6 +748,127 @@ def test_text_body_errors_match_oracle(m, seed, final_newline, corruptions, stri
             deserialize_channel(path, verify=False)
     assert str(err.value) == str(expected)
     assert err.value.offset == expected.offset
+
+
+def test_deserialize_file_edges_keep_messages(tmp_path):
+    header = "MACCF 1 m=1 p=0.5 eps=0.5 f=2 g=1 seed=0\n"
+    lengths = "expected 1 (binary) or 6 / 5 (text)"
+    cases = [
+        ("MACCF 1 m=1 p=0.5", b"", "missing header line (byte offset 17)"),
+        (header[:-1], b" 0110", "missing header line (byte offset 45)"),
+        (header, b"01\n1", f"body has 4 bytes; {lengths} (byte offset 41)"),
+        (header, b"01\n10\n\n", f"body has 7 bytes; {lengths} (byte offset 41)"),
+        (header, b"", f"body has 0 bytes; {lengths} (byte offset 41)"),
+        # a full-length body whose last byte is not the optional newline
+        (header, b"01\n10x", "row 2 not terminated by newline (byte offset 46)"),
+    ]
+    for text, body, message in cases:
+        with pytest.raises(ChannelFormatError) as err:
+            deserialize_channel(write_variant(tmp_path, text, body))
+        assert str(err.value) == message, (text, body)
+    # a file that shrinks after its length was checked
+    path = write_variant(tmp_path, header, b"01\n10\n")
+    with open(path, "rb") as fh:
+        with pytest.raises(ChannelFormatError, match="file ended while being read") as err:
+            chmod._read_at(fh, len(header), np.empty(8, dtype=np.uint8))
+    assert err.value.offset == len(header) + 6
+
+
+def through_fifo(path, reader=None, writer=None, data=b""):
+    """Make a FIFO at path and run reader(path) or writer(path) on it while a
+    second thread feeds it data or drains it; return (result, drained bytes)."""
+    import threading
+
+    os.mkfifo(path)
+    drained = []
+
+    def other_end():
+        if reader is not None:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        else:
+            with open(path, "rb") as fh:
+                drained.append(fh.read())
+
+    thread = threading.Thread(target=other_end, daemon=True)
+    thread.start()
+    try:
+        result = reader(path) if reader is not None else writer(path)
+    finally:
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    return result, b"".join(drained)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+@pytest.mark.parametrize("binary", [False, True])
+def test_io_through_fifo(tmp_path, binary):
+    # a pipe has no length and no offsets: the writer goes front to back and
+    # the reader takes the body whole, with the same checks and messages
+    m = 6
+    params = ConstructionParams(m=m, p=0.4, epsilon=0.3, f_of_m=1, g_of_m=1, seed=5)
+    channel = Channel(
+        matrix=sample_matrix(m, 0.4, 5), params=params, block_property_verified=False
+    )
+    expected = maccf_bytes_oracle(channel, binary)
+    with many_strips():
+        _, written = through_fifo(
+            tmp_path / "w.fifo",
+            writer=lambda path: serialize_channel(channel, path, binary=binary),
+        )
+        assert written == expected
+        loaded, _ = through_fifo(
+            tmp_path / "r.fifo",
+            reader=lambda path: deserialize_channel(path, verify=False),
+            data=expected,
+        )
+        assert loaded.matrix == channel.matrix and loaded.params == params
+        with pytest.raises(ChannelFormatError) as err:
+            through_fifo(tmp_path / "e.fifo", reader=deserialize_channel, data=expected[:-2])
+    size = len(expected) - 2 - (expected.index(b"\n") + 1)
+    assert str(err.value).startswith(f"body has {size} bytes;")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_writes_match_whole_matrix_oracle(tmp_path, m):
+    params = ConstructionParams(m=m, p=0.4, epsilon=0.3, f_of_m=1, g_of_m=1, seed=13)
+    channel = Channel(
+        matrix=sample_matrix(m, 0.4, 13), params=params, block_property_verified=False
+    )
+    for binary in (False, True):
+        expected = maccf_bytes_oracle(channel, binary)
+        for strip_bits in STRIP_BITS:
+            path = tmp_path / f"{binary}-{strip_bits}.maccf"
+            path.write_bytes(b"x" * (2 * len(expected)))  # a longer file is replaced
+            with many_strips(strip_bits):
+                serialize_channel(channel, path, binary=binary)
+            assert path.read_bytes() == expected
+
+
+def test_text_io_holds_strips_not_the_file(tmp_path):
+    import tracemalloc
+
+    m = 11  # a 4.2 MB text body; 0.5 MB of packed rows
+    params = ConstructionParams(m=m, p=0.5, epsilon=0.5, f_of_m=1, g_of_m=1, seed=11)
+    channel = Channel(
+        matrix=sample_matrix(m, 0.5, 11), params=params, block_property_verified=False
+    )
+    path = tmp_path / "c.maccf"
+    limit = channel.matrix.packed_rows.nbytes + (2 << 20)  # two threads' strips
+    peaks = {}
+    with many_strips(None, workers=2):
+        for step in ("write", "read"):
+            tracemalloc.start()
+            try:
+                if step == "write":
+                    serialize_channel(channel, path)
+                else:
+                    loaded = deserialize_channel(path, verify=False)
+                peaks[step] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert path.stat().st_size > 4 << 20 and loaded.matrix == channel.matrix
+    assert max(peaks.values()) < limit, peaks
 
 
 def test_deserialize_binary_exact_length(tmp_path):
